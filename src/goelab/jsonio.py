@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from .automaton import CellularAutomaton, wolfram_rule
-from .groups import group_from_json, element_from_json, element_to_json
+from .groups import Zd, group_from_json, element_from_json, element_to_json
 from .patterns import Alphabet, pattern_from_json, pattern_to_json
 from .subshift import (
     SFTPresentation,
@@ -38,6 +38,48 @@ from .subshift import (
 )
 
 SCHEMA_VERSION = "1"
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _expect(value, kind, what: str):
+    """``value`` if it has the JSON type ``kind`` (a type or a tuple of
+    them), else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ValueError(f"{what} must be {wanted}, not {type(value).__name__}")
+    return value
+
+
+def _field(obj: dict, key: str, kind, what: str):
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return _expect(obj[key], kind, f"{what} field {key!r}")
+
+
+def _alphabet(obj: dict, key: str, what: str) -> Alphabet:
+    names = _field(obj, key, list, what)
+    for name in names:
+        _expect(name, str, f"a symbol of {what} field {key!r}")
+    return Alphabet(tuple(names))
+
+
+def _group(obj: dict, what: str):
+    desc = _field(obj, "group", dict, what)
+    size = {"Zd": "d", "Free": "rank"}.get(desc.get("type"))
+    if size is not None:
+        _field(desc, size, int, f"{what} group")
+    if desc.get("names") is not None:
+        _field(desc, "names", list, f"{what} group")
+    return group_from_json(desc)
+
+
+def _elements(obj: dict, key: str, group, what: str) -> list:
+    return [
+        element_from_json(group, _expect(g, (list, str), f"an element of {what} field {key!r}"))
+        for g in _field(obj, key, list, what)
+    ]
 
 
 def _window_key(alphabet: Alphabet, values) -> str:
@@ -79,18 +121,19 @@ def rule_to_json(ca: CellularAutomaton) -> dict:
 
 
 def rule_from_json(obj: dict) -> CellularAutomaton:
+    _expect(obj, dict, "a rule")
     if "wolfram" in obj:
-        return wolfram_rule(int(obj["wolfram"]))
-    group = group_from_json(obj["group"])
-    input_alphabet = Alphabet(tuple(obj["input_alphabet"]))
-    output_alphabet = Alphabet(tuple(obj.get("output_alphabet", obj["input_alphabet"])))
-    memory = group.canon(
-        element_from_json(group, g) for g in obj["memory_set"]
+        return wolfram_rule(int(_field(obj, "wolfram", (int, str), "the rule")))
+    group = _group(obj, "the rule")
+    input_alphabet = _alphabet(obj, "input_alphabet", "the rule")
+    output_alphabet = (
+        _alphabet(obj, "output_alphabet", "the rule") if "output_alphabet" in obj else input_alphabet
     )
+    memory = group.canon(_elements(obj, "memory_set", group, "the rule"))
     a = len(input_alphabet)
     width = len(memory)
     expected = a**width
-    entries = obj["table"]
+    entries = _field(obj, "table", dict, "the rule")
     if len(entries) != expected:
         raise ValueError(
             f"table has {len(entries)} entries; need {expected} "
@@ -100,6 +143,7 @@ def rule_from_json(obj: dict) -> CellularAutomaton:
 
     table = [None] * expected
     for key, out in entries.items():
+        _expect(out, str, f"the rule's table entry {key!r}")
         idx = values_to_index(a, _parse_window_key(input_alphabet, key, width))
         if table[idx] is not None:
             raise ValueError(f"duplicate table key {key!r}")
@@ -113,8 +157,9 @@ BUILTIN_SUBSHIFTS = ("golden_mean", "even_shift", "ledrappier")
 def subshift_from_json(obj) -> object:
     if isinstance(obj, str):
         obj = {"builtin": obj}
+    _expect(obj, dict, "a subshift")
     if "builtin" in obj:
-        name = obj["builtin"]
+        name = _field(obj, "builtin", str, "the subshift")
         if name == "golden_mean":
             return golden_mean()
         if name == "even_shift":
@@ -127,14 +172,25 @@ def subshift_from_json(obj) -> object:
             return full_shift(Alphabet.of_size(int(name.split(":", 1)[1])))
         raise ValueError(f"unknown builtin subshift {name!r}")
     kind = obj.get("kind", "sofic" if "edges" in obj else "sft")
+    what = f"the {kind} subshift"
+    alphabet = _alphabet(obj, "alphabet", what)
     if kind == "sofic":
+        _field(obj, "vertices", int, what)
+        for edge in _field(obj, "edges", list, what):
+            if [type(x) for x in _expect(edge, list, f"an edge of {what}")] != [int, int, str]:
+                raise ValueError(f"an edge of {what} must be [source, target, symbol], not {edge!r}")
         return sofic_from_json(obj)
-    group = group_from_json(obj.get("group", {"type": "Zd", "d": 1}))
-    alphabet = Alphabet(tuple(obj["alphabet"]))
-    forbidden = tuple(
-        pattern_from_json(group, alphabet, item) for item in obj["forbidden"]
-    )
-    return SFTPresentation(group, alphabet, forbidden)
+    group = _group(obj, what) if "group" in obj else Zd(1)
+    forbidden = []
+    for item in _field(obj, "forbidden", list, what):
+        _expect(item, dict, f"a forbidden pattern of {what}")
+        if "word" in item:
+            _field(item, "word", str, "a forbidden pattern")
+        else:
+            _elements(item, "support", group, "a forbidden pattern")
+            _field(item, "values", list, "a forbidden pattern")
+        forbidden.append(pattern_from_json(group, alphabet, item))
+    return SFTPresentation(group, alphabet, tuple(forbidden))
 
 
 def subshift_to_json(X) -> dict:

@@ -14,7 +14,9 @@ exercises it exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,6 +26,14 @@ from .groups import Element, FiniteSubset, Group, Zd, element_from_json, element
 from .patterns import Alphabet
 
 Vector = Tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=None)  # make() runs in the inner loops of the ring arithmetic
+def _check_prime(p: int) -> int:
+    """The field arithmetic below (inverses mod p) is sound only for prime p."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime >= 2, not {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -36,8 +46,7 @@ class GroupRingElement:
 
     @classmethod
     def make(cls, group: Group, p: int, coeffs: Dict[Element, int]) -> "GroupRingElement":
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        _check_prime(p)
         cleaned = {}
         for g, c in coeffs.items():
             c %= p
@@ -385,7 +394,7 @@ def matrix_from_json(obj: dict) -> MatrixCA:
     from .groups import group_from_json
 
     group = group_from_json(obj.get("group", {"type": "Zd", "d": 1}))
-    p = int(obj["p"])
+    p = _check_prime(int(obj["p"]))
     d = int(obj["d"])
     rows = []
     for row in obj["entries"]:

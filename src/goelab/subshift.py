@@ -79,26 +79,65 @@ class SoficPresentation1D:
         return all(u in outs and u in ins for u in range(self.num_vertices))
 
 
+def _live(n: int, first: List[int], heads: List[int], need_in=True, need_out=True) -> bytearray:
+    """Flags of the greatest set of vertices 0..n-1 in which every vertex keeps
+    an in-edge (``need_in``) and an out-edge (``need_out``) inside the set.
+
+    The out-edges of ``u`` go to ``heads[first[u]:first[u + 1]]``; parallel
+    edges and self-loops count.  Vertices are deleted from a queue while
+    degree counters track the edges left, so the cost is linear in the graph.
+    """
+    rfirst = [0] * (n + 1)  # the reverse adjacency, by counting sort
+    for v in heads:
+        rfirst[v + 1] += 1
+    rfirst = list(itertools.accumulate(rfirst))
+    tails = [0] * len(heads)
+    fill = rfirst[:n]
+    for u in range(n):
+        for e in range(first[u], first[u + 1]):
+            v = heads[e]
+            tails[fill[v]] = u
+            fill[v] += 1
+    indeg = [rfirst[v + 1] - rfirst[v] for v in range(n)]
+    outdeg = [first[u + 1] - first[u] for u in range(n)]
+    alive = bytearray(b"\x01") * n
+    queue = [v for v in range(n) if (need_in and not indeg[v]) or (need_out and not outdeg[v])]
+    for v in queue:
+        alive[v] = 0
+    for v in queue:  # the loop also visits the vertices appended below
+        for e in range(first[v], first[v + 1]):
+            w = heads[e]
+            indeg[w] -= 1
+            if need_in and not indeg[w] and alive[w]:
+                alive[w] = 0
+                queue.append(w)
+        for e in range(rfirst[v], rfirst[v + 1]):
+            u = tails[e]
+            outdeg[u] -= 1
+            if need_out and not outdeg[u] and alive[u]:
+                alive[u] = 0
+                queue.append(u)
+    return alive
+
+
 def trim(pres: SoficPresentation1D) -> SoficPresentation1D:
-    """Essential part: repeatedly drop vertices missing in- or out-edges."""
-    alive = set(range(pres.num_vertices))
-    edges = set(pres.edges)
-    changed = True
-    while changed:
-        changed = False
-        outs = {u for u, v, _ in edges if v in alive and u in alive}
-        ins = {v for u, v, _ in edges if u in alive and v in alive}
-        keep = {u for u in alive if u in outs and u in ins}
-        if keep != alive:
-            alive = keep
-            edges = {(u, v, s) for (u, v, s) in edges if u in alive and v in alive}
-            changed = True
-    order = sorted(alive)
-    rename = {u: i for i, u in enumerate(order)}
+    """Essential part: drop every vertex that lies on no bi-infinite path."""
+    if pres.is_essential():
+        return pres
+    n = pres.num_vertices
+    first = [0] * (n + 1)
+    for u, _, _ in pres.edges:  # edges are sorted, so grouped by source
+        first[u + 1] += 1
+    alive = _live(n, list(itertools.accumulate(first)), [v for _, v, _ in pres.edges])
+    rename = list(itertools.accumulate(alive, initial=-1))
     return SoficPresentation1D(
         pres.alphabet,
-        len(order),
-        tuple((rename[u], rename[v], s) for (u, v, s) in edges),
+        rename[-1] + 1,
+        tuple(
+            (rename[u + 1], rename[v + 1], s)
+            for (u, v, s) in pres.edges
+            if alive[u] and alive[v]
+        ),
     )
 
 

@@ -193,6 +193,56 @@ def test_inconsistent_table_is_an_input_error(tmp_path, capsys):
     assert "table" in err
 
 
+GOLDEN_EVEN_RULE = {
+    "group": {"type": "Zd", "d": 1},
+    "input_alphabet": ["0", "1"],
+    "memory_set": [[0], [1]],
+    "table": {"00": "1", "01": "0", "10": "0", "11": "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ([1, 2], "a rule must be an object, not list"),
+        ({k: v for k, v in GOLDEN_EVEN_RULE.items() if k != "table"}, "no 'table' field"),
+        ({**GOLDEN_EVEN_RULE, "input_alphabet": 2}, "'input_alphabet' must be an array"),
+        ({**GOLDEN_EVEN_RULE, "input_alphabet": [0, 1]}, "must be a string"),
+        ({**GOLDEN_EVEN_RULE, "group": "Zd"}, "'group' must be an object"),
+        ({**GOLDEN_EVEN_RULE, "group": {"type": "Zd"}}, "no 'd' field"),
+        ({**GOLDEN_EVEN_RULE, "memory_set": [0, 1]}, "element of the rule field 'memory_set'"),
+        ({**GOLDEN_EVEN_RULE, "table": [["00", "1"]]}, "'table' must be an object"),
+        ({"wolfram": [30]}, "'wolfram' must be an integer"),
+    ],
+)
+def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rule))
+    code, out, err = run_cli(capsys, ["analyze", "--rule", str(path)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ([], "a subshift must be an object, not list"),
+        ({"kind": "sofic", "alphabet": "01", "vertices": 1, "edges": []}, "'alphabet' must be an array"),
+        ({"alphabet": ["0", "1"], "vertices": 1, "edges": [[0, 0]]}, "[source, target, symbol]"),
+        ({"kind": "sft", "alphabet": ["0", "1"]}, "no 'forbidden' field"),
+        ({"kind": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}, "forbidden pattern"),
+    ],
+)
+def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, message):
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps(GOLDEN_EVEN_RULE))
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain))
+    code, out, err = run_cli(capsys, ["analyze", "--rule", str(rule), "--domain", str(path)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and message in err
+
+
 def test_filtered_suite_is_byte_stable(capsys):
     _, out1, _ = run_cli(capsys, ["paper-suite", "--filter", "patterns"])
     _, out2, _ = run_cli(capsys, ["paper-suite", "--filter", "patterns"])

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from conftest import make_fiorenzi_even_ca, make_golden_even_ca
+from goelab import decide1d
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
 from goelab.decide1d import (
+    DeBruijnLift,
     count_preimages,
     decide_injective,
     decide_preinjective,
@@ -16,12 +21,14 @@ from goelab.decide1d import (
     slide,
     verify_diamond_witness,
 )
+from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
 from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     even_shift,
     full_shift,
     golden_mean,
+    presentation_of,
     sofic_equal,
     word_appears,
 )
@@ -294,3 +301,111 @@ def test_injective_implies_preinjective():
             seen_injective += 1
             assert decide_preinjective(ca).answer
     assert seen_injective > 0  # permutation-like rules do appear
+
+
+# -- pinned verdicts ---------------------------------------------------------------------
+#
+# Verdict JSON recorded with the original fixpoint-loop pair-graph engine; the
+# graph core may change, these bytes may not.
+
+
+def interval_ca(a, width, table):
+    alphabet = Alphabet.of_size(a)
+    return CellularAutomaton(Z, alphabet, alphabet, tuple((c,) for c in range(width)), tuple(table))
+
+
+def pinned_rule_sets():
+    rng = random.Random(2024)
+
+    def draw(a, widths, count):
+        return [
+            interval_ca(a, w, [rng.randrange(a) for _ in range(a**w)])
+            for w in widths
+            for _ in range(count)
+        ]
+
+    binary, ternary = draw(2, (4, 5), 10), draw(3, (2,), 20)
+    golden, even = draw(2, (2, 3, 4), 6), draw(2, (2, 3, 4), 6)
+    return {
+        "eca": ([wolfram_rule(k) for k in range(256)], None),
+        "binary-4-5": (binary, None),
+        "ternary-2": (ternary, None),
+        "golden_mean": (golden, golden_mean()),
+        "even_shift": (even, even_shift()),
+    }
+
+
+PINNED_DIGESTS = {
+    "eca": "82b86e8ddcb19e2bd76ae601313dd05809afac229204761d09c722c38268e282",
+    "binary-4-5": "e5d3a547363de75e00133b15e80799538fd39f0cdb11dcb07128e16ad739f170",
+    "ternary-2": "7c488cb5cae8b1f25a5375c96e7cb0c6ad981edffbaccf1f8b097e36a3cfe0c2",
+    "golden_mean": "7b760a0c19ff947a32b4412cccb45d1b9c161e6486e2489e9c7137485fac2f5e",
+    "even_shift": "4bd902a84ba853be1cf66dcdefa20529619d2eeea87aabab69c1f1c2bfcd65cc",
+}
+
+
+def test_pinned_verdict_digests():
+    decisions = (decide_surjective, decide_preinjective, decide_injective)
+    for name, (cas, X) in pinned_rule_sets().items():
+        rows = [[decide(ca, X).to_json() for decide in decisions] for ca in cas]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[name], name
+
+
+PINNED_WITNESSES = [
+    (decide_preinjective, lambda: (wolfram_rule(232), None),
+     {"center": ["0", "1"], "left_pad": "", "left_period": "0", "right_pad": "00",
+      "right_period": "0", "type": "diamond"}),
+    (decide_injective, lambda: (wolfram_rule(232), None),
+     {"center": ["0", "1"], "left_pad": ["", ""], "left_period": ["0", "0"],
+      "right_pad": ["00", "00"], "right_period": ["0", "0"], "type": "config_pair"}),
+    (decide_injective, lambda: (wolfram_rule(30), None),
+     {"center": ["1", "0"], "left_pad": ["00", "01"], "left_period": ["0", "1"],
+      "right_pad": ["", ""], "right_period": ["001", "010"], "type": "config_pair"}),
+    (decide_injective, lambda: (make_golden_even_ca(), golden_mean()),
+     {"center": ["0", "1"], "left_pad": ["", ""], "left_period": ["01", "10"],
+      "right_pad": ["", ""], "right_period": ["10", "01"], "type": "config_pair"}),
+    (decide_preinjective, lambda: (make_fiorenzi_even_ca(), even_shift()),
+     {"center": ["0111100", "1000011"], "left_pad": "", "left_period": "00",
+      "right_pad": "10000", "right_period": "00", "type": "diamond"}),
+    (decide_injective, lambda: (make_fiorenzi_even_ca(), even_shift()),
+     {"center": ["0", "1"], "left_pad": ["", ""], "left_period": ["11", "00"],
+      "right_pad": ["000", "111"], "right_period": ["00", "11"], "type": "config_pair"}),
+]
+
+
+@pytest.mark.parametrize("decide, subject, witness", PINNED_WITNESSES)
+def test_pinned_witnesses(decide, subject, witness):
+    ca, X = subject()
+    assert decide(ca, X).to_json() == {"answer": False, "witness": witness, "witness_verified": True}
+
+
+# -- budgets and re-verification ---------------------------------------------------------
+
+
+def test_lift_budget_is_checked_before_the_lift_is_built():
+    ca = interval_ca(2, 12, [(k ^ k >> 11) & 1 for k in range(1 << 12)])  # reads both ends
+    with pytest.raises(BudgetExceededError) as info:
+        DeBruijnLift(ca, full_shift(BINARY), budget=1000)
+    assert (info.value.what, info.value.requested) == ("de Bruijn lift states", 1 << 11)
+    with pytest.raises(BudgetExceededError, match="de Bruijn lift states"):
+        image_presentation(ca, budget=1000)
+    # over a subshift the states are the (W-1)-edge paths of its graph; the
+    # golden-mean graph remembers the last symbol, so 3-edge paths are the
+    # 8 golden words of length 4
+    lift = DeBruijnLift(interval_ca(2, 4, [0] * 16), presentation_of(golden_mean()), budget=8)
+    assert lift.num_states == 8
+
+
+@pytest.mark.parametrize(
+    "decide, verifier, rule",
+    [
+        (decide_preinjective, "verify_diamond_witness", 232),
+        (decide_injective, "verify_injectivity_witness", 102),
+    ],
+)
+def test_failed_reverification_is_an_internal_error(monkeypatch, decide, verifier, rule):
+    assert dict(decide(wolfram_rule(rule)).detail)["witness_verified"] is True
+    monkeypatch.setattr(decide1d, verifier, lambda *args: False)
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        decide(wolfram_rule(rule))

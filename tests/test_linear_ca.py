@@ -287,3 +287,20 @@ def test_matrix_json_round_trip():
         {"g": [1], "c": 1},
     ]
     assert matrix_from_json(obj) == M
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 25])
+def test_composite_modulus_is_rejected(p):
+    # over Z/4 the rule x -> 2x kills 2.delta_0, but the Gaussian elimination
+    # behind kernel_finite_support assumes a field and reported no kernel
+    with pytest.raises(ValueError, match="prime"):
+        GroupRingElement.make(Z, p, {(0,): 2})
+    obj = matrix_to_json(MatrixCA.make(Z, 2, [[one_plus_u()]]))
+    obj["p"] = p
+    with pytest.raises(ValueError, match="prime"):
+        matrix_from_json(obj)
+
+
+def test_prime_moduli_are_accepted():
+    for p in (2, 3, 5, 7, 11, 13):
+        assert gre({(0,): p + 1}, p).coeffs == (((0,), 1),)

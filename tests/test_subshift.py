@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
@@ -8,6 +9,7 @@ from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
     SoficPresentation1D,
+    _live,
     determinize,
     even_shift,
     full_shift,
@@ -109,6 +111,44 @@ def test_sft_compilation_presents_the_same_language():
     for n in range(1, 8):
         for w in all_words(n):
             assert word_appears(compiled, w) == golden_ok(w)
+
+
+def naive_live(n, edges, need_in, need_out):
+    """Delete vertices missing an in- or out-edge until nothing changes."""
+    alive = set(range(n))
+    while True:
+        keep = {
+            u
+            for u in alive
+            if (not need_in or any(s in alive for s, t in edges if t == u))
+            and (not need_out or any(t in alive for s, t in edges if s == u))
+        }
+        if keep == alive:
+            return alive
+        alive = keep
+
+
+multigraphs = st.integers(0, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)
+        if n
+        else st.just([]),
+    )
+)
+
+
+@given(multigraphs, st.booleans(), st.booleans())
+def test_live_matches_the_naive_fixpoint(graph, need_in, need_out):
+    # random multigraphs: self-loops, parallel edges and empty graphs included
+    n, edges = graph
+    edges = sorted(edges)
+    first = [0] * (n + 1)
+    for u, _ in edges:
+        first[u + 1] += 1
+    flags = _live(n, list(itertools.accumulate(first)), [v for _, v in edges], need_in, need_out)
+    assert len(flags) == n
+    assert {v for v in range(n) if flags[v]} == naive_live(n, edges, need_in, need_out)
 
 
 def test_trim_drops_stranded_vertices():
