@@ -3,8 +3,7 @@
 JSON reports go to stdout, a short human-readable summary to stderr.
 Exit codes: 0 success, 1 input error, 2 analysis ended in an explicit
 budget-limited unknown.  All randomness sits behind --seed, reports carry
-no timings unless asked, and the suite report is byte-stable across runs
-and worker counts.
+no timings unless asked, and the suite report is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -75,13 +74,6 @@ def _load_subshift(source: Optional[str]):
         obj, digest = _read_json(source)
         return subshift_from_json(obj), digest
     return subshift_from_json(source), None  # builtin name
-
-
-def _max_threads(requested: int) -> int:
-    cap = os.environ.get("GOE_LAB_THREADS")
-    if cap:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -317,8 +309,7 @@ def cmd_freegroup(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    threads = _max_threads(args.threads)
-    report = suite_mod.run_suite(args.filter, threads)
+    report = suite_mod.run_suite(args.filter)
     _emit(report, args.out)
     for row in report["rows"]:
         mark = "pass" if row["pass"] else "FAIL"
@@ -415,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper-suite", help="run the bundled worked-example suite"
     )
     p.add_argument("--filter", help="only rows whose name contains this string")
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_suite)
 

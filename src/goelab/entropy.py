@@ -55,19 +55,26 @@ class EntropyEstimate:
         }
 
 
-def _window_count(X, n: int) -> Tuple[int, int]:
-    """(count, cells) of X on its Folner window F_n."""
+def _group_of(X) -> Zd:
+    """The Z^d a subshift presentation lives on."""
     if isinstance(X, SoficPresentation1D):
-        return language_count(X, n + 1), n + 1
-    if isinstance(X, SFTPresentation):
-        group = X.group
-        if not isinstance(group, Zd):
-            raise UnsupportedGroupError("entropy windows need Z^d")
-        if group.d == 1:
-            return language_count(X, n + 1), n + 1
-        window = group.box((n + 1,) * group.d)
-        return locally_admissible_count(X, window), (n + 1) ** group.d
-    raise TypeError(f"not a subshift presentation: {X!r}")
+        return Zd(1)
+    if not isinstance(X, SFTPresentation):
+        raise TypeError(f"not a subshift presentation: {X!r}")
+    if not isinstance(X.group, Zd):
+        raise UnsupportedGroupError("entropy windows need Z^d")
+    return X.group
+
+
+def _count_on(X, window) -> int:
+    """|X_window|: the exact language count on an interval of Z, the local
+    admissibility count on a window of Z^d for d >= 2."""
+    if _group_of(X).d >= 2:
+        return locally_admissible_count(X, window)
+    cells = sorted(g[0] for g in window)
+    if cells and cells[-1] - cells[0] + 1 != len(cells):
+        raise ValueError("windows over Z must be intervals")
+    return language_count(X, len(cells))
 
 
 def pattern_count_entropy(X, ns: Sequence[int]) -> EntropyEstimate:
@@ -76,10 +83,12 @@ def pattern_count_entropy(X, ns: Sequence[int]) -> EntropyEstimate:
     1D counts are exact language counts; for d >= 2 the count is the local
     admissibility count, exact for the builtins that carry structure.
     """
+    group = _group_of(X)
     rows = []
     for n in ns:
-        count, cells = _window_count(X, n)
-        rows.append((n, count, cells, math.log(count) / cells))
+        window = group.box((n + 1,) * group.d)
+        count = _count_on(X, window)
+        rows.append((n, count, len(window), math.log(count) / len(window)))
     return EntropyEstimate(tuple(rows), "count")
 
 
@@ -309,47 +318,29 @@ def tiling_entropy_bound_check(
     F_n, check log|X_{F_n}| <= |F_n^*| log|A| + sum_t log|X_{tE}|.
 
     Degenerate when the per-tile hypothesis X_E != A^E fails (full shift):
-    reported as not applicable.
+    reported as not applicable.  Over Z the tile must be an interval.
     """
     from .goe_search import greedy_tiling
 
-    if isinstance(X, SoficPresentation1D):
-        group = Zd(1)
-        alphabet = X.alphabet
-    else:
-        group = X.group
-        alphabet = X.alphabet
+    group = _group_of(X)
     E = group.canon(E)
-    a = len(alphabet)
-
-    def count_on(window) -> int:
-        if isinstance(X, SoficPresentation1D) or (
-            isinstance(X, SFTPresentation) and group.d == 1
-        ):
-            cells = sorted(g[0] for g in window)
-            # windows here are intervals; count by word length
-            return language_count(X, len(cells))
-        return locally_admissible_count(X, window)
-
-    tile_count = count_on(E)
+    a = len(X.alphabet)
+    tile_count = _count_on(X, E)
     if tile_count >= a ** len(E):
         return TilingBoundReport(False, (), True)
     rows = []
     holds = True
     for n in ns:
-        if group.d == 1:
-            window = tuple((i,) for i in range(n + 1))
-        else:
-            window = group.box((n + 1,) * group.d)
+        window = group.box((n + 1,) * group.d)
         T, _ = greedy_tiling(group, E, window)
         tiled = set()
         for t in T:
             tiled.update(group.mul(t, e) for e in E)
         f_star = len(window) - len(tiled)
-        lhs = math.log(count_on(window))
+        lhs = math.log(_count_on(X, window))
         rhs = f_star * math.log(a)
         for t in T:
-            rhs += math.log(count_on(group.translate(t, E)))
+            rhs += math.log(_count_on(X, group.translate(t, E)))
         rows.append((n, len(T), lhs, rhs))
         if lhs > rhs + 1e-12:
             holds = False

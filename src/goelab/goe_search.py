@@ -7,6 +7,18 @@ conclusive for *both* properties at once, surjectivity and pre-injectivity
 being equivalent over Z^d), while exhausting the budget yields an honest
 ``unknown``.  Window schedules, enumeration order, and tie-breaks are all
 canonical, so results are reproducible and independent of how work is split.
+
+Each search walks ``window_schedule`` and probes each window for the
+least-index pattern missing from its image set (GOE) or the least-index
+distinct ME pair.  The searches count windows by separate conventions:
+
+- ``find_goe_pattern``: a window whose image set is over budget is skipped,
+  every other window is scanned.
+- ``find_me_pair``: a window with more than ``max_patterns_for_pairs``
+  patterns is skipped; every other window is scanned, and one that then
+  turns out over the ME extension budget is also counted as skipped.
+- ``semi_decide``: every scheduled window up to the witness is scanned,
+  whatever its budgets allowed.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ def image_pattern_set(
 class SearchOutcome:
     """Result of a budgeted window search; ``found`` is None on exhaustion."""
 
-    found: Optional[Pattern]
+    found: Optional[object]  # a Pattern, or a pair of them for find_me_pair
     windows_scanned: int
     budget: SearchBudget
     skipped_windows: int = 0
@@ -98,6 +110,21 @@ class SearchOutcome:
     @property
     def unknown(self) -> bool:
         return self.found is None
+
+
+def _goe_on(
+    ca: CellularAutomaton, window: FiniteSubset, budget: SearchBudget
+) -> Optional[Pattern]:
+    """Least-index pattern on the window missing from the image set, or None;
+    raises BudgetExceededError when the image set is over budget."""
+    images = image_pattern_set(ca, window, budget.max_candidates)
+    b = len(ca.output_alphabet)
+    total = b ** len(window)
+    if len(images) == total:
+        return None
+    indices = {values_to_index(b, img) for img in images}
+    k = next(k for k in range(total) if k not in indices)
+    return Pattern(window, index_to_values(b, len(window), k))
 
 
 def find_goe_pattern(
@@ -109,27 +136,17 @@ def find_goe_pattern(
     group = ca.group
     if not isinstance(group, Zd):
         raise GroupMismatchError("finite-window search needs Z^d")
-    b = len(ca.output_alphabet)
     scanned = 0
     skipped = 0
     for window in window_schedule(group.d, budget):
         try:
-            images = image_pattern_set(ca, window, budget.max_candidates)
+            found = _goe_on(ca, window, budget)
         except BudgetExceededError:
             skipped += 1
             continue
         scanned += 1
-        total = b ** len(window)
-        if len(images) < total:
-            indices = {values_to_index(b, img) for img in images}
-            for k in range(total):
-                if k not in indices:
-                    return SearchOutcome(
-                        Pattern(window, index_to_values(b, len(window), k)),
-                        scanned,
-                        budget,
-                        skipped,
-                    )
+        if found is not None:
+            return SearchOutcome(found, scanned, budget, skipped)
     return SearchOutcome(None, scanned, budget, skipped)
 
 
@@ -156,23 +173,19 @@ def me_check(ca: CellularAutomaton, p1: Pattern, p2: Pattern,
         return True
     window = p1.support
     S = ca.memory_set
-    S_inv = group.set_inverse(S)
-    out_region = group.set_product(window, S_inv)
-    in_region = group.set_product(out_region, S)
-    free_cells = tuple(g for g in in_region if g not in set(window))
+    out_region = group.set_product(window, group.set_inverse(S))
+    in_region, offsets = _window_positions(group, out_region, S)
+    inside = set(window)
+    free_idx = [i for i, g in enumerate(in_region) if g not in inside]
     a = len(ca.input_alphabet)
-    total = a ** len(free_cells)
+    total = a ** len(free_idx)
     if total > max_candidates:
         raise BudgetExceededError("ME extension enumeration", total, max_candidates)
-    pos = {g: i for i, g in enumerate(in_region)}
-    offsets = [[pos[group.mul(g, s)] for s in S] for g in out_region]
-    base1 = [0] * len(in_region)
-    base2 = [0] * len(in_region)
-    for g, v1, v2 in zip(window, p1.values, p2.values):
-        base1[pos[g]] = v1
-        base2[pos[g]] = v2
-    free_idx = [pos[g] for g in free_cells]
-    for fill in itertools.product(range(a), repeat=len(free_cells)):
+    values1 = dict(zip(window, p1.values))
+    values2 = dict(zip(window, p2.values))
+    base1 = [values1.get(g, 0) for g in in_region]
+    base2 = [values2.get(g, 0) for g in in_region]
+    for fill in itertools.product(range(a), repeat=len(free_idx)):
         for i, v in zip(free_idx, fill):
             base1[i] = v
             base2[i] = v
@@ -184,21 +197,25 @@ def me_check(ca: CellularAutomaton, p1: Pattern, p2: Pattern,
     return True
 
 
-@dataclass(frozen=True)
-class MePairOutcome:
-    found: Optional[Tuple[Pattern, Pattern]]
-    windows_scanned: int
-    budget: SearchBudget
-    skipped_windows: int = 0
-
-    @property
-    def unknown(self) -> bool:
-        return self.found is None
+def _me_on(
+    ca: CellularAutomaton, window: FiniteSubset, budget: SearchBudget
+) -> Optional[Tuple[Pattern, Pattern]]:
+    """Least-index distinct pair on the window that me_check accepts, or None;
+    raises BudgetExceededError when the ME extensions are over budget.  That
+    budget depends on the window and the memory set only, so the first
+    over-budget pair decides the whole window."""
+    a = len(ca.input_alphabet)
+    n = len(window)
+    patterns = [Pattern(window, index_to_values(a, n, i)) for i in range(a**n)]
+    for p1, p2 in itertools.combinations(patterns, 2):
+        if me_check(ca, p1, p2, budget.max_candidates):
+            return p1, p2
+    return None
 
 
 def find_me_pair(
     ca: CellularAutomaton, budget: SearchBudget = SearchBudget()
-) -> MePairOutcome:
+) -> SearchOutcome:
     """Distinct ME pair on the smallest scheduled window containing one,
     least index pair first."""
     group = ca.group
@@ -208,25 +225,18 @@ def find_me_pair(
     scanned = 0
     skipped = 0
     for window in window_schedule(group.d, budget):
-        total = a ** len(window)
-        if total > budget.max_patterns_for_pairs:
+        if a ** len(window) > budget.max_patterns_for_pairs:
             skipped += 1
             continue
         scanned += 1
-        for i in range(total):
-            p1 = Pattern(window, index_to_values(a, len(window), i))
-            for j in range(i + 1, total):
-                p2 = Pattern(window, index_to_values(a, len(window), j))
-                try:
-                    if me_check(ca, p1, p2, budget.max_candidates):
-                        return MePairOutcome((p1, p2), scanned, budget, skipped)
-                except BudgetExceededError:
-                    skipped += 1
-                    break
-            else:
-                continue
-            break
-    return MePairOutcome(None, scanned, budget, skipped)
+        try:
+            found = _me_on(ca, window, budget)
+        except BudgetExceededError:
+            skipped += 1
+            continue
+        if found is not None:
+            return SearchOutcome(found, scanned, budget, skipped)
+    return SearchOutcome(None, scanned, budget, skipped)
 
 
 # -- the counting bound -----------------------------------------------------------
@@ -299,39 +309,23 @@ def semi_decide(
     if not isinstance(group, Zd):
         raise GroupMismatchError("semi_decide needs Z^d")
     a = len(ca.input_alphabet)
-    b = len(ca.output_alphabet)
     scanned = 0
     for window in window_schedule(group.d, budget):
-        goe = None
-        try:
-            images = image_pattern_set(ca, window, budget.max_candidates)
-            total = b ** len(window)
-            if len(images) < total:
-                indices = {values_to_index(b, img) for img in images}
-                for k in range(total):
-                    if k not in indices:
-                        goe = Pattern(window, index_to_values(b, len(window), k))
-                        break
-        except BudgetExceededError:
-            pass
         scanned += 1
+        try:
+            goe = _goe_on(ca, window, budget)
+        except BudgetExceededError:
+            goe = None
         if goe is not None:
             return SemiVerdict("not_surjective", goe, scanned, budget)
-        if a ** len(window) <= budget.max_patterns_for_pairs:
-            total = a ** len(window)
-            for i in range(total):
-                p1 = Pattern(window, index_to_values(a, len(window), i))
-                hit = None
-                for j in range(i + 1, total):
-                    p2 = Pattern(window, index_to_values(a, len(window), j))
-                    try:
-                        if me_check(ca, p1, p2, budget.max_candidates):
-                            hit = (p1, p2)
-                            break
-                    except BudgetExceededError:
-                        break
-                if hit:
-                    return SemiVerdict("not_preinjective", hit, scanned, budget)
+        if a ** len(window) > budget.max_patterns_for_pairs:
+            continue
+        try:
+            pair = _me_on(ca, window, budget)
+        except BudgetExceededError:
+            continue
+        if pair is not None:
+            return SemiVerdict("not_preinjective", pair, scanned, budget)
     note = ""
     if group.d == 1:
         note = "exact decision available over Z via decide1d"

@@ -3,7 +3,7 @@
 Each row names a mathematical claim and re-derives it from scratch through
 the library; the CLI's suite verb renders the pass/fail matrix.  Rows are
 deterministic and carry no timing information, so two runs of the suite
-produce byte-identical reports regardless of worker count.
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -576,7 +575,7 @@ ROWS: List[Row] = [
 ]
 
 
-def run_suite(name_filter: Optional[str] = None, threads: int = 1) -> dict:
+def run_suite(name_filter: Optional[str] = None) -> dict:
     rows = [r for r in ROWS if name_filter is None or name_filter in r.name]
 
     def run(row: Row):
@@ -587,11 +586,7 @@ def run_suite(name_filter: Optional[str] = None, threads: int = 1) -> dict:
                     "error": f"{type(exc).__name__}: {exc}"}
         return {"name": row.name, "claim": row.claim, "pass": ok}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, rows))
-    else:
-        results = [run(row) for row in rows]
+    results = [run(row) for row in rows]
     passed = sum(1 for r in results if r["pass"])
     return {
         "schema": "1",

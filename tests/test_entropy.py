@@ -11,8 +11,9 @@ from goelab.entropy import (
     perron_entropy,
     tiling_entropy_bound_check,
 )
-from goelab.groups import Zd
-from goelab.patterns import Alphabet, BINARY, word_to_pattern
+from goelab.errors import UnsupportedGroupError
+from goelab.groups import FreeGroup, Zd
+from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
     even_shift,
@@ -153,6 +154,22 @@ def test_tiling_bound_hard_ball_plane():
     E = ((0, 0), (1, 0))  # the two-cell domino
     report = tiling_entropy_bound_check(hard_ball(2), E, range(3, 6))
     assert report.applicable and report.holds
+
+
+def test_tiling_bound_rejects_a_non_interval_tile_over_z():
+    # golden-mean patterns on {0, 2} are all 4 of A^E, so no word length
+    # stands in for the tile
+    with pytest.raises(ValueError, match="interval"):
+        tiling_entropy_bound_check(golden_mean(), ((0,), (2,)), range(4, 8))
+
+
+def test_tiling_bound_over_a_free_group_is_unsupported():
+    F2 = FreeGroup(2)
+    X = SFTPresentation(F2, BINARY, (Pattern.from_dict(F2, {F2.identity: 1, (1,): 1}),))
+    with pytest.raises(UnsupportedGroupError):
+        tiling_entropy_bound_check(X, (F2.identity, (1,)), range(1, 3))
+    with pytest.raises(UnsupportedGroupError):
+        pattern_count_entropy(X, [1])
 
 
 def test_language_count_large_windows_stay_exact():

@@ -1,8 +1,11 @@
+import collections
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from goelab import goe_search
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
 from goelab.decide1d import count_preimages, decide_preinjective, decide_surjective
 from goelab.errors import BudgetExceededError
@@ -260,3 +263,103 @@ def test_greedy_tiling_cross_z2():
         assert not cells & seen
         seen |= cells
     assert tiling_cover_certificate(Z2, E, window, T)
+
+
+# -- pinned search outputs -----------------------------------------------------------------
+#
+# Digests of every search output recorded with the original inline scan loops;
+# the loops may change, these bytes may not.  The Z^2 rules use the three
+# memory-set shapes and the budget of the benchmark's z2-search workload, so
+# the 4- and 5-cell shapes reach ME windows whose extensions are over budget.
+
+Z2_SHAPES = {
+    3: ((0, 0), (0, 1), (1, 0)),
+    4: ((0, 0), (0, 1), (1, 0), (1, 1)),
+    5: ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)),
+}
+Z2_BUDGET = SearchBudget(6, 1 << 12, 16)
+
+
+def z2_rule(rng, cells, kind):
+    n = 1 << cells
+    if kind == "permutive":  # surjective: f = x_last xor g(rest)
+        g = [rng.randrange(2) for _ in range(n // 2)]
+        table = [(i & 1) ^ g[i >> 1] for i in range(n)]
+    elif kind == "biased":  # unbalanced, hence not surjective
+        ones = rng.choice([c for c in range(1, n) if c <= n // 4 or c >= n - n // 4])
+        picked = set(rng.sample(range(n), ones))
+        table = [1 if i in picked else 0 for i in range(n)]
+    else:
+        table = [rng.randrange(2) for _ in range(n)]
+    return CellularAutomaton(Z2, BINARY, BINARY, Z2_SHAPES[cells], tuple(table))
+
+
+def pinned_search_rules():
+    rng = random.Random(4)
+    z1 = []
+    for _ in range(30):
+        width = rng.randint(2, 3)
+        table = tuple(rng.randrange(2) for _ in range(2**width))
+        z1.append(CellularAutomaton(Z, BINARY, BINARY, interval(width), table))
+    kinds = ("permutive", "biased", "random")
+    z2 = [z2_rule(rng, cells, kinds[i % 3]) for cells in Z2_SHAPES for i in range(20)]
+    small = SearchBudget(max_window_cells=5, max_patterns_for_pairs=32)
+    return {
+        "eca": ([wolfram_rule(k) for k in (0, 30, 90, 102, 110, 184, 232)], small),
+        "z1": (z1, small),
+        "z2": (z2, Z2_BUDGET),
+    }
+
+
+def search_rows(search, cas, budget):
+    if search is semi_decide:
+        return [
+            repr((v.to_json(), v.witness))
+            for v in (semi_decide(ca, budget) for ca in cas)
+        ]
+    return [
+        repr((o.found, o.windows_scanned, o.skipped_windows))
+        for o in (search(ca, budget) for ca in cas)
+    ]
+
+
+PINNED_SEARCH_DIGESTS = {
+    ("eca", "find_goe_pattern"): "7453f41ffb4d965aafa244dab78da25e8f39fb2ad408feec0c22e549544c8987",
+    ("eca", "find_me_pair"): "6ddd3302acd4e76fa470c77063f9573e90f8a70374b17cbfecd365007bc74ec5",
+    ("eca", "semi_decide"): "2febb4779a5d327565b80be1d8d72e206fa6eddfb06cad82bca978f3a8e873dc",
+    ("z1", "find_goe_pattern"): "2bb932b5414644eded81619a5294e6a49ec9b5fa58bbf2b9542e22699845f3d7",
+    ("z1", "find_me_pair"): "2f2742d2e80117905633e525bd59f57daad802cd70ee137993c990c88e1187ab",
+    ("z1", "semi_decide"): "e5c27de5fa5f173c668697992f02e65041f81b953eead7e233199972c9c6aea0",
+    ("z2", "find_goe_pattern"): "d9eff7dca991c47a547025dc0f2624a445fe72141bffe7a1fecd5d1733f2e685",
+    ("z2", "find_me_pair"): "cca969030a1b20fd2775e934d01941de0eec602c6c71bf3ce7ce0f0427ed5bbb",
+    ("z2", "semi_decide"): "3e07fa1f280be61fce0d0e6fb3173ef86e04ab137b60bab2807f61d7ea21723b",
+}
+
+
+@pytest.mark.parametrize("search", [find_goe_pattern, find_me_pair, semi_decide])
+@pytest.mark.parametrize("family", ["eca", "z1", "z2"])
+def test_pinned_search_digests(family, search):
+    cas, budget = pinned_search_rules()[family]
+    rows = search_rows(search, cas, budget)
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == PINNED_SEARCH_DIGESTS[family, search.__name__]
+
+
+def test_semi_decide_gives_up_a_window_at_its_first_over_budget_me_check(monkeypatch):
+    real = goe_search.me_check
+    over = collections.Counter()
+
+    def counting(ca, p1, p2, max_candidates):
+        try:
+            return real(ca, p1, p2, max_candidates)
+        except BudgetExceededError:
+            over[p1.support] += 1
+            raise
+
+    monkeypatch.setattr(goe_search, "me_check", counting)
+    rng = random.Random(5)
+    for cells in (4, 5):
+        over.clear()
+        verdict = semi_decide(z2_rule(rng, cells, "permutive"), Z2_BUDGET)
+        assert verdict.status == "unknown"
+        assert over and max(over.values()) == 1
