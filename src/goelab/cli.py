@@ -62,6 +62,10 @@ def _read_json(path: str):
         raise ValueError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}")
 
 
+def _search_budget(args) -> gs.SearchBudget:
+    return gs.SearchBudget(max_window_cells=args.max_cells, max_candidates=args.max_candidates)
+
+
 def _load_rule(args):
     obj, digest = _read_json(args.rule)
     return rule_from_json(obj), digest
@@ -119,10 +123,7 @@ def cmd_analyze(args) -> int:
             f"injective={injective.answer}"
         )
     else:
-        budget = gs.SearchBudget(
-            max_window_cells=args.max_cells, max_candidates=args.max_candidates
-        )
-        verdict = gs.semi_decide(ca, budget)
+        verdict = gs.semi_decide(ca, _search_budget(args))
         payload = verdict.to_json()
         if verdict.witness is not None:
             if isinstance(verdict.witness, tuple):
@@ -166,10 +167,7 @@ def cmd_decide1d(args) -> int:
 
 def cmd_goe(args) -> int:
     ca, digest = _load_rule(args)
-    budget = gs.SearchBudget(
-        max_window_cells=args.max_cells, max_candidates=args.max_candidates
-    )
-    outcome = gs.find_goe_pattern(ca, budget)
+    outcome = gs.find_goe_pattern(ca, _search_budget(args))
     report = {
         "schema": SCHEMA_VERSION,
         "inputs": {"rule_sha256": digest},
@@ -189,10 +187,7 @@ def cmd_goe(args) -> int:
 
 def cmd_me(args) -> int:
     ca, digest = _load_rule(args)
-    budget = gs.SearchBudget(
-        max_window_cells=args.max_cells, max_candidates=args.max_candidates
-    )
-    outcome = gs.find_me_pair(ca, budget)
+    outcome = gs.find_me_pair(ca, _search_budget(args))
     report = {
         "schema": SCHEMA_VERSION,
         "inputs": {"rule_sha256": digest},
@@ -333,6 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path")
 
+    def budget_options(p):  # read back by _search_budget
+        defaults = gs.SearchBudget()
+        p.add_argument("--max-cells", type=int, default=defaults.max_window_cells)
+        p.add_argument("--max-candidates", type=int, default=defaults.max_candidates)
+
     p = subs.add_parser("wolfram", help="emit an elementary rule file")
     p.add_argument("number", type=int)
     common(p)
@@ -342,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True, help="rule JSON path or - for stdin")
     p.add_argument("--domain", help="subshift JSON path or builtin name")
     p.add_argument("--codomain", help="subshift JSON path or builtin name")
-    p.add_argument("--max-cells", type=int, default=12)
-    p.add_argument("--max-candidates", type=int, default=1 << 16)
+    budget_options(p)
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     common(p)
     p.set_defaults(func=cmd_analyze)
@@ -359,16 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("goe", help="budgeted Garden of Eden pattern search")
     p.add_argument("action", choices=("search",))
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-cells", type=int, default=12)
-    p.add_argument("--max-candidates", type=int, default=1 << 16)
+    budget_options(p)
     common(p)
     p.set_defaults(func=cmd_goe)
 
     p = subs.add_parser("me", help="budgeted mutually-erasable pair search")
     p.add_argument("action", choices=("search",))
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-cells", type=int, default=12)
-    p.add_argument("--max-candidates", type=int, default=1 << 16)
+    budget_options(p)
     common(p)
     p.set_defaults(func=cmd_me)
 

@@ -81,7 +81,7 @@ def pattern_count_entropy(X, ns: Sequence[int]) -> EntropyEstimate:
     """Exact window counts and the per-cell log estimates along F_n.
 
     1D counts are exact language counts; for d >= 2 the count is the local
-    admissibility count, exact for the builtins that carry structure.
+    admissibility count of ``subshift.locally_admissible_count``.
     """
     group = _group_of(X)
     rows = []
@@ -325,9 +325,10 @@ def tiling_entropy_bound_check(
     group = _group_of(X)
     E = group.canon(E)
     a = len(X.alphabet)
-    tile_count = _count_on(X, E)
+    tile_count = _count_on(X, E)  # window counts are shift invariant: |X_tE| = |X_E|
     if tile_count >= a ** len(E):
         return TilingBoundReport(False, (), True)
+    log_tile = math.log(tile_count)
     rows = []
     holds = True
     for n in ns:
@@ -339,8 +340,8 @@ def tiling_entropy_bound_check(
         f_star = len(window) - len(tiled)
         lhs = math.log(_count_on(X, window))
         rhs = f_star * math.log(a)
-        for t in T:
-            rhs += math.log(_count_on(X, group.translate(t, E)))
+        for _ in T:  # summed per tile: len(T) * log_tile can round differently
+            rhs += log_tile
         rows.append((n, len(T), lhs, rhs))
         if lhs > rhs + 1e-12:
             holds = False

@@ -7,18 +7,19 @@ the trimmed essential graph, where finite walk labels are exactly the words
 of the subshift's language.
 
 Membership for Z^d SFTs with d >= 2 is exposed only as local admissibility
-on finite windows (no global-extension claims); the Ledrappier builtin
-carries its mod-2 linear structure, which gives it an exact window counter.
+on finite windows (no global-extension claims); a binary SFT whose forbidden
+patterns are the odd-sum assignments on their supports (the Ledrappier
+builtin, or any such SFT read from JSON) gets an exact counter over F_2.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, UnsupportedGroupError
-from .groups import FiniteSubset, Group, Zd
+from .groups import Element, FiniteSubset, Group, Zd
 from .patterns import Alphabet, BINARY, Pattern, parse_word, render_word, word_to_pattern
 
 DEFAULT_STATE_BUDGET = 1 << 17
@@ -27,15 +28,13 @@ DEFAULT_COUNT_CAP = 1 << 22
 
 @dataclass(frozen=True)
 class SFTPresentation:
-    """A subshift of finite type given by forbidden patterns."""
+    """A subshift of finite type given by forbidden patterns, its whole
+    description.  If they are the odd-sum assignments on their supports over a
+    binary alphabet (as for Ledrappier), window counts are exact over F_2."""
 
     group: Group
     alphabet: Alphabet
     forbidden: Tuple[Pattern, ...]
-    # Optional mod-2 structure: each entry is a support whose values must sum
-    # to 0 mod 2; equivalent to forbidding the odd-sum assignments.  Enables
-    # exact window counts by linear algebra (binary alphabets only).
-    parity_constraints: Tuple[FiniteSubset, ...] = ()
 
     def __post_init__(self):
         for p in self.forbidden:
@@ -183,7 +182,7 @@ def ledrappier() -> SFTPresentation:
     for vals in itertools.product((0, 1), repeat=3):
         if sum(vals) % 2 == 1:
             forb.append(Pattern.from_dict(group, dict(zip(shape, vals))))
-    return SFTPresentation(group, BINARY, tuple(forb), parity_constraints=(shape,))
+    return SFTPresentation(group, BINARY, tuple(forb))
 
 
 # -- SFT compilation over Z ----------------------------------------------------
@@ -507,124 +506,116 @@ def mixing_gap(X, budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
 # -- window admissibility over Z^d ----------------------------------------------
 
 
-def _parity_rank_count(sft: SFTPresentation, window: FiniteSubset) -> int:
+def _placements(
+    group: Group, window: Sequence[Element], support: FiniteSubset
+) -> List[Tuple[int, ...]]:
+    """Window indices of every translate of ``support`` that lies inside the
+    window, aligned with ``support``; a translate is found from the cell its
+    first point moves to."""
     cells = {g: i for i, g in enumerate(window)}
-    group = sft.group
-    rows = []
-    for shape in sft.parity_constraints:
-        for g in window:
-            positions = []
-            for offset in shape:
-                h = group.mul(g, offset)
-                if h not in cells:
-                    break
-                positions.append(cells[h])
-            else:
-                row = 0
-                for p in positions:
-                    row ^= 1 << p
-                rows.append(row)
-    rank = 0
+    back = group.inverse(support[0])
+    offsets = [group.mul(back, h) for h in support]
+    placements = []
+    for g in window:
+        positions = []
+        for r in offsets:
+            i = cells.get(group.mul(g, r))
+            if i is None:
+                break
+            positions.append(i)
+        else:
+            placements.append(tuple(positions))
+    return placements
+
+
+def _violates(cells: Sequence[int], placements) -> bool:
+    """Whether the assignment matches some (positions, values) placement."""
+    for positions, values in placements:
+        for p, v in zip(positions, values):
+            if cells[p] != v:
+                break
+        else:
+            return True
+    return False
+
+
+def _parity_shapes(sft: SFTPresentation) -> Optional[List[FiniteSubset]]:
+    """The supports of a binary SFT forbidding exactly the odd-sum assignments
+    on each of them, or None.  Such a shift is linear over F_2: a pattern is
+    admissible iff every placed support sums to 0 mod 2."""
+    if len(sft.alphabet) != 2 or not sft.forbidden:
+        return None
+    seen: Dict[FiniteSubset, set] = {}
+    for p in sft.forbidden:
+        seen.setdefault(p.support, set()).add(p.values)
+    for support, values in seen.items():
+        # 2^(k-1) distinct odd-sum 0/1 tuples of length k are all of them
+        if len(values) != 1 << (len(support) - 1) or not all(
+            sum(v) % 2 and set(v) <= {0, 1} for v in values
+        ):
+            return None
+    return list(seen)
+
+
+def _parity_rank_count(group: Group, window: FiniteSubset, shapes: List[FiniteSubset]) -> int:
+    """2^(cells - rank) of the parity checks, by elimination on bitmask rows."""
     pivots = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return 2 ** (len(window) - rank)
+    for shape in shapes:
+        for positions in _placements(group, window, shape):
+            row = 0
+            for p in positions:
+                row ^= 1 << p
+            for q in pivots:
+                row = min(row, row ^ q)
+            if row:
+                pivots.append(row)
+                pivots.sort(reverse=True)
+    return 2 ** (len(window) - len(pivots))
 
 
 def _embeddings(sft: SFTPresentation, window: FiniteSubset):
     """All (positions, values) placements of forbidden patterns inside the window."""
     group = sft.group
-    cells = {g: i for i, g in enumerate(window)}
-    placements = []
-    for p in sft.forbidden:
-        anchor = p.support[0]
-        for g in window:
-            shift = group.mul(g, group.inverse(anchor))
-            positions = []
-            for h in p.support:
-                t = group.mul(shift, h)
-                if t not in cells:
-                    break
-                positions.append(cells[t])
-            else:
-                placements.append((tuple(positions), p.values))
-    return sorted(set(placements))
-
-
-def _window_rows(window: FiniteSubset):
-    """Split a 2D box window into rows by the second coordinate."""
-    ys = sorted({g[1] for g in window})
-    xs = sorted({g[0] for g in window})
-    expected = {(x, y) for x in xs for y in ys}
-    if expected != set(window):
-        return None
-    return xs, ys
+    return sorted(
+        {(at, p.values) for p in sft.forbidden for at in _placements(group, window, p.support)}
+    )
 
 
 def _row_dp_count(sft: SFTPresentation, window: FiniteSubset, row_budget: int) -> Optional[int]:
-    """Transfer-matrix count over rows; needs forbidden supports of height <= 2."""
+    """Transfer-matrix count over the rows of a window made of consecutive
+    rows over one set of columns; needs forbidden supports of height <= 2."""
     if not isinstance(sft.group, Zd) or sft.group.d != 2:
         return None
-    split = _window_rows(window)
-    if split is None:
+    xs = sorted({g[0] for g in window})
+    ys = sorted({g[1] for g in window})
+    if len(window) != len(xs) * len(ys) or any(y1 - y0 != 1 for y0, y1 in zip(ys, ys[1:])):
         return None
-    xs, ys = split
     a = len(sft.alphabet)
     if a ** len(xs) > row_budget:
         return None
-    singles = []  # (dx positions, values) within one row
-    pairs = []  # (row0 dx positions, row1 dx positions, values ordered)
     for p in sft.forbidden:
         py = [g[1] for g in p.support]
         if max(py) - min(py) > 1:
             return None
-        base_y = min(py)
-        px = [g[0] for g in p.support]
-        base_x = min(px)
-        rel = [(g[0] - base_x, g[1] - base_y) for g in p.support]
-        width = max(r[0] for r in rel) + 1
-        if width > len(xs):
-            continue
-        if max(py) == min(py):
-            singles.append((tuple(r[0] for r in rel), p.values, width))
-        else:
-            pairs.append((rel, p.values, width))
+    # placements on two rows, at row * width + column: in row 0, or across both
+    width = len(xs)
+    two_rows = [(x, y) for y in (0, 1) for x in xs]
+    singles = []
+    pairs = []
+    for p in sft.forbidden:
+        for positions in _placements(sft.group, two_rows, p.support):
+            if max(positions) < width:
+                singles.append((positions, p.values))
+            elif min(positions) < width:
+                pairs.append((positions, p.values))
 
-    rows = list(itertools.product(range(a), repeat=len(xs)))
-
-    def row_ok(r):
-        for positions, values, width in singles:
-            for off in range(len(xs) - width + 1):
-                if all(r[off + dx] == v for dx, v in zip(positions, values)):
-                    return False
-        return True
-
-    ok_rows = [r for r in rows if row_ok(r)]
-
-    def pair_ok(r0, r1):
-        for rel, values, width in pairs:
-            for off in range(len(xs) - width + 1):
-                good = False
-                for (dx, dy), v in zip(rel, values):
-                    cell = (r0 if dy == 0 else r1)[off + dx]
-                    if cell != v:
-                        good = True
-                        break
-                if not good:
-                    return False
-        return True
-
+    ok_rows = [r for r in itertools.product(range(a), repeat=width) if not _violates(r, singles)]
     counts = {r: 1 for r in ok_rows}
     for _ in range(len(ys) - 1):
         nxt = {}
         for r0, c in counts.items():
             for r1 in ok_rows:
-                if pair_ok(r0, r1):
+                if not _violates(r0 + r1, pairs):
                     nxt[r1] = nxt.get(r1, 0) + c
         counts = nxt
     return sum(counts.values())
@@ -638,13 +629,16 @@ def locally_admissible_count(
 ) -> int:
     """Patterns on the window violating no forbidden pattern fully inside it.
 
-    Exact counters are used where available (parity structure, two-row
-    transfer); otherwise exhaustive enumeration under the cap.
+    Exact counters are used where they apply: linear algebra over F_2 for a
+    binary SFT whose forbidden patterns are the odd-sum assignments on their
+    supports, a two-row transfer for supports of height <= 2 on box-like
+    windows; otherwise exhaustive enumeration under the cap.
     """
     window = sft.group.canon(window)
     a = len(sft.alphabet)
-    if sft.parity_constraints and a == 2:
-        return _parity_rank_count(sft, window)
+    shapes = _parity_shapes(sft)
+    if shapes is not None:
+        return _parity_rank_count(sft.group, window, shapes)
     dp = _row_dp_count(sft, window, row_budget)
     if dp is not None:
         return dp
@@ -672,14 +666,10 @@ def locally_admissible_count(
             else:
                 count += 1
         return count
-    count = 0
-    for assignment in itertools.product(range(a), repeat=cells):
-        for positions, values in placements:
-            if all(assignment[p] == v for p, v in zip(positions, values)):
-                break
-        else:
-            count += 1
-    return count
+    return sum(
+        not _violates(assignment, placements)
+        for assignment in itertools.product(range(a), repeat=cells)
+    )
 
 
 # -- JSON ----------------------------------------------------------------------

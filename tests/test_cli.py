@@ -3,7 +3,8 @@ import json
 import pytest
 
 import goelab.suite as suite_mod
-from goelab.cli import main
+from goelab.cli import build_parser, main
+from goelab.goe_search import SearchBudget
 
 
 def run_cli(capsys, argv):
@@ -88,6 +89,16 @@ def test_goe_and_me_search_verbs(tmp_path, capsys):
     )
     assert code == 2  # honest unknown
     assert json.loads(out)["found"] is None
+
+
+@pytest.mark.parametrize("verb", [["analyze"], ["goe", "search"], ["me", "search"]])
+def test_search_budget_defaults_are_the_library_defaults(verb):
+    args = build_parser().parse_args(verb + ["--rule", "rule.json"])
+    defaults = SearchBudget()
+    assert (args.max_cells, args.max_candidates) == (
+        defaults.max_window_cells,
+        defaults.max_candidates,
+    )
 
 
 def test_entropy_builtin_json(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -154,6 +156,36 @@ def test_tiling_bound_hard_ball_plane():
     E = ((0, 0), (1, 0))  # the two-cell domino
     report = tiling_entropy_bound_check(hard_ball(2), E, range(3, 6))
     assert report.applicable and report.holds
+
+
+# sha256 of each report's sorted-key JSON, recorded before the tile count
+# was taken once per check
+PINNED_TILING_REPORTS = {
+    "golden-domino": "0c7193e7a679e0b30799411e751ffc64cf2ca5a2ed08201f8d4c45f9073cffdb",
+    "golden-triple": "30c4ab9d7c1f7ccb792c397c2c778a3c1e4e70a59b35de12822c1c616b6f905a",
+    "even-triple": "17b89ca687fef8f72fa3ccde7d49ed9c2da2140c0ea344550a889c3b9a178b03",
+    "hard-ball-domino": "68d81f271413bdce341d6f8cf178621a2c2465be284dea4203eca39fe8384481",
+    "hard-ball-square": "214dee3142316b054cc4daa836efc20d4149dee2836645623afd381417dc7b10",
+    "ledrappier-L": "1a028b03ffe1f0356e016d59b3216af889dac3dbc3b61556b020aff0cfdaec7d",
+}
+
+
+@pytest.mark.parametrize(
+    "name, X, E, ns",
+    [
+        ("golden-domino", golden_mean(), ((0,), (1,)), range(4, 11)),
+        ("golden-triple", golden_mean(), ((0,), (1,), (2,)), range(4, 11)),
+        ("even-triple", even_shift(), ((0,), (1,), (2,)), range(4, 11)),
+        ("hard-ball-domino", hard_ball(2), ((0, 0), (1, 0)), range(3, 6)),
+        ("hard-ball-square", hard_ball(2), ((0, 0), (0, 1), (1, 0), (1, 1)), range(3, 6)),
+        ("ledrappier-L", ledrappier(), ((0, 0), (0, 1), (1, 0)), range(2, 8)),
+    ],
+)
+def test_tiling_bound_reports_are_pinned(name, X, E, ns):
+    report = tiling_entropy_bound_check(X, E, ns).to_json()
+    assert report["applicable"] and report["holds"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_TILING_REPORTS[name]
 
 
 def test_tiling_bound_rejects_a_non_interval_tile_over_z():

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from goelab.subshift import (
     SFTPresentation,
     SoficPresentation1D,
     _live,
+    _parity_shapes,
     determinize,
     even_shift,
     full_shift,
@@ -275,6 +279,132 @@ def test_locally_admissible_budget():
     window = Zd(2).box((8, 8))
     with pytest.raises(BudgetExceededError):
         locally_admissible_count(empty, window, cap=1 << 10, row_budget=0)
+
+
+def random_support(rng, d, height):
+    """1-3 cells of a 3-wide, height-tall box, moved by up to one step per axis."""
+    span = [range(3)] + [range(height)] * (d - 1)
+    cells = rng.sample(list(itertools.product(*span)), rng.randint(1, 3))
+    shift = tuple(rng.randint(-1, 1) for _ in range(d))
+    return [tuple(c + s for c, s in zip(g, shift)) for g in cells]
+
+
+def random_sft(rng, group, a, height):
+    forbidden = []
+    for _ in range(rng.randint(1, 3)):
+        support = random_support(rng, group.d, height)
+        forbidden.append(Pattern.from_dict(group, {g: rng.randrange(a) for g in support}))
+    return SFTPresentation(group, Alphabet.of_size(a), tuple(forbidden))
+
+
+def odd_sum_sft(group, supports):
+    """The binary SFT forbidding every odd-sum assignment on each support."""
+    forbidden = [
+        Pattern.from_dict(group, dict(zip(support, values)))
+        for support in supports
+        for values in itertools.product((0, 1), repeat=len(support))
+        if sum(values) % 2
+    ]
+    return SFTPresentation(group, BINARY, tuple(forbidden))
+
+
+def count_battery():
+    """(sft, window) cases reaching every window counter: the Ledrappier,
+    hard-ball and odd-sum shifts, and seeded random binary and ternary SFTs
+    over Z and Z^2 with supports up to 3 rows high, on boxes and on boxes
+    missing their last cell."""
+    z1, z2, z3 = Zd(1), Zd(2), Zd(3)
+    cases = []
+    led = ledrappier()
+    for n in range(1, 27, 3):
+        cases.append((led, z2.box((n, n))))
+    for dims in ((3, 9), (9, 3), (26, 2), (1, 7)):
+        cases += [(led, z2.box(dims)), (led, z2.box(dims)[:-1])]
+    cases += [(hard_ball(1), z1.box((n,))) for n in range(1, 13)]
+    cases += [(hard_ball(2), z2.box((w, h))) for w in range(1, 7) for h in range(1, 7)]
+    cases.append((hard_ball(2), z2.box((3, 4))[:-1]))
+    cases += [(hard_ball(3), z3.box(dims)) for dims in ((2, 2, 2), (2, 2, 3), (1, 3, 4))]
+    rng = random.Random(2026)
+    for i in range(160):
+        a = 2 if i % 4 else 3
+        height = 1 + i % 3
+        X = random_sft(rng, z2, a, height)
+        small = 12 if a == 2 else 6  # keeps the ternary enumerations small
+        boxes = [(w, h) for w in range(1, 5) for h in range(1, 5) if w * h <= small]
+        for dims in rng.sample(boxes, 2):
+            cases.append((X, z2.box(dims)))
+        cases.append((X, z2.box((3, 3) if a == 2 else (2, 3))[:-1]))
+        if height <= 2:
+            cases.append((X, z2.box((5, 4) if a == 2 else (4, 3))))
+    for i in range(30):
+        a = 2 if i % 3 else 3
+        X = random_sft(rng, z1, a, 1)
+        cases += [(X, z1.box((n,))) for n in (1, 4, 10 if a == 2 else 6)]
+    for i in range(40):
+        group = z2 if i % 4 else z1
+        supports = [random_support(rng, group.d, 1 + i % 3) for _ in range(rng.randint(1, 2))]
+        X = odd_sum_sft(group, supports)
+        for dims in ((3, 3), (2, 5), (4, 3)) if group.d == 2 else ((4,), (7,), (12,)):
+            cases += [(X, group.box(dims)), (X, group.box(dims)[:-1])]
+    return cases
+
+
+# sha256 of the counts of count_battery(), one repr per line, recorded before
+# the window counters were reworked
+PINNED_COUNT_DIGEST = "243f6f210fec4f0bf83fb8abf61e0cf6d82f0c170f4cfb834635a91db6114816"
+
+
+def test_pinned_window_count_digest():
+    rows = [repr(locally_admissible_count(X, window)) for X, window in count_battery()]
+    assert len(rows) == 986
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PINNED_COUNT_DIGEST
+
+
+def test_parity_structure_is_read_from_the_forbidden_patterns():
+    z2 = Zd(2)
+    L = ((0, 0), (0, 1), (1, 0))
+    assert _parity_shapes(ledrappier()) == [L]
+    three_of_four = SFTPresentation(z2, BINARY, ledrappier().forbidden[:3])
+    ternary = SFTPresentation(z2, Alphabet.of_size(3), ledrappier().forbidden)
+    for X in (hard_ball(2), golden_mean(), SFTPresentation(z2, BINARY, ()), three_of_four, ternary):
+        assert _parity_shapes(X) is None
+
+
+def test_ledrappier_read_from_json_gets_the_exact_counter():
+    from goelab.jsonio import subshift_from_json, subshift_to_json
+
+    X = subshift_from_json(json.loads(json.dumps(subshift_to_json(ledrappier()))))
+    assert locally_admissible_count(X, Zd(2).box((26, 26))) == 2**51
+
+
+def test_parity_counter_matches_brute_force():
+    z1 = Zd(1)
+    # translates anchored left of the window still count when they fit
+    X = odd_sum_sft(z1, [((1,), (2,))])
+    assert locally_admissible_count(X, z1.box((4,))) == 2
+    rng = random.Random(11)
+    for i in range(60):
+        group = Zd(1 + i % 2)
+        supports = [random_support(rng, group.d, 3) for _ in range(rng.randint(1, 3))]
+        X = odd_sum_sft(group, supports)
+        assert _parity_shapes(X) is not None
+        box = group.box((4, 3) if group.d == 2 else (10,))
+        window = tuple(sorted(rng.sample(box, rng.randint(1, len(box)))))
+        assert locally_admissible_count(X, window) == brute_locally_admissible(X, window)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        ((0, 0), (0, 1), (2, 0), (2, 1)),  # columns 0 and 2
+        ((0, 0), (1, 0), (0, 2), (1, 2)),  # rows 0 and 2
+        ((0, 0), (0, 1), (1, 0), (1, 1), (3, 0), (3, 1)),
+        (),
+    ],
+)
+def test_product_windows_count_only_what_fits(window):
+    for X in (hard_ball(2), SFTPresentation(Zd(2), Alphabet.of_size(3), hard_ball(2).forbidden)):
+        assert locally_admissible_count(X, window) == brute_locally_admissible(X, window)
 
 
 def test_sofic_json_round_trip():
