@@ -310,8 +310,8 @@ def element_to_json(group: Group, g: Element):
 
 
 def element_from_json(group: Group, obj) -> Element:
-    if isinstance(group, Zd):
-        return group.check(tuple(int(c) for c in obj))
-    if isinstance(obj, str):
+    """An element from its JSON form: an array of ints, or a word string
+    for a free group."""
+    if isinstance(obj, str) and isinstance(group, FreeGroup):
         return group.word_from_str(obj)
-    return group.check(tuple(int(c) for c in obj))
+    return group.check(tuple(obj))

@@ -186,6 +186,8 @@ def subshift_from_json(obj) -> object:
         _expect(item, dict, f"a forbidden pattern of {what}")
         if "word" in item:
             _field(item, "word", str, "a forbidden pattern")
+            if "offset" in item:
+                _field(item, "offset", int, "a forbidden pattern")
         else:
             _elements(item, "support", group, "a forbidden pattern")
             _field(item, "values", list, "a forbidden pattern")

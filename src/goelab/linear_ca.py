@@ -391,19 +391,23 @@ def matrix_to_json(M: MatrixCA) -> dict:
 
 
 def matrix_from_json(obj: dict) -> MatrixCA:
-    from .groups import group_from_json
+    from .jsonio import _expect, _field, _group
 
-    group = group_from_json(obj.get("group", {"type": "Zd", "d": 1}))
-    p = _check_prime(int(obj["p"]))
-    d = int(obj["d"])
+    what = "the matrix"
+    _expect(obj, dict, "a matrix")
+    group = _group(obj, what) if "group" in obj else Zd(1)
+    p = _check_prime(_field(obj, "p", int, what))
+    d = _field(obj, "d", int, what)
     rows = []
-    for row in obj["entries"]:
+    for row in _field(obj, "entries", list, what):
         entries = []
-        for cell in row:
-            coeffs = {
-                element_from_json(group, item["g"]): int(item["c"])
-                for item in cell.get("coeffs", [])
-            }
+        for cell in _expect(row, list, f"a row of {what}"):
+            cell = _expect(cell, dict, f"an entry of {what}")
+            coeffs = {}
+            for item in _expect(cell.get("coeffs", []), list, f"the 'coeffs' of an entry of {what}"):
+                _expect(item, dict, "a coefficient")
+                g = _field(item, "g", (list, str), "a coefficient")
+                coeffs[element_from_json(group, g)] = _field(item, "c", int, "a coefficient")
             entries.append(GroupRingElement.make(group, p, coeffs))
-        rows.append(entries)
-    return MatrixCA.make(group, p, rows)
+        rows.append(tuple(entries))
+    return MatrixCA(group, p, d, tuple(rows))

@@ -7,9 +7,12 @@ the trimmed essential graph, where finite walk labels are exactly the words
 of the subshift's language.
 
 Membership for Z^d SFTs with d >= 2 is exposed only as local admissibility
-on finite windows (no global-extension claims); a binary SFT whose forbidden
-patterns are the odd-sum assignments on their supports (the Ledrappier
-builtin, or any such SFT read from JSON) gets an exact counter over F_2.
+on finite windows (no global-extension claims).  Window counts are exact: a
+binary SFT whose forbidden patterns are the odd-sum assignments on their
+supports (the Ledrappier builtin, or any such SFT read from JSON) is counted
+over F_2, every other SFT by a cell-by-cell transfer whose work,
+|window| * a^(widest frontier + 1), is checked against a cap before any
+state is built.
 """
 
 from __future__ import annotations
@@ -37,9 +40,14 @@ class SFTPresentation:
     forbidden: Tuple[Pattern, ...]
 
     def __post_init__(self):
+        a = len(self.alphabet)
         for p in self.forbidden:
             if not p.support:
                 raise ValueError("forbidden patterns need nonempty support")
+            if len({self.group.check(g) for g in p.support}) != len(p.support):
+                raise ValueError(f"forbidden pattern support repeats a cell: {p.support}")
+            if not all(isinstance(v, int) and 0 <= v < a for v in p.values):
+                raise ValueError(f"forbidden pattern values must lie in range({a}): {p.values}")
 
 
 @dataclass(frozen=True)
@@ -528,17 +536,6 @@ def _placements(
     return placements
 
 
-def _violates(cells: Sequence[int], placements) -> bool:
-    """Whether the assignment matches some (positions, values) placement."""
-    for positions, values in placements:
-        for p, v in zip(positions, values):
-            if cells[p] != v:
-                break
-        else:
-            return True
-    return False
-
-
 def _parity_shapes(sft: SFTPresentation) -> Optional[List[FiniteSubset]]:
     """The supports of a binary SFT forbidding exactly the odd-sum assignments
     on each of them, or None.  Such a shift is linear over F_2: a pattern is
@@ -575,101 +572,101 @@ def _parity_rank_count(group: Group, window: FiniteSubset, shapes: List[FiniteSu
 
 def _embeddings(sft: SFTPresentation, window: FiniteSubset):
     """All (positions, values) placements of forbidden patterns inside the window."""
-    group = sft.group
     return sorted(
-        {(at, p.values) for p in sft.forbidden for at in _placements(group, window, p.support)}
+        {(at, p.values) for p in sft.forbidden for at in _placements(sft.group, window, p.support)}
     )
 
 
-def _row_dp_count(sft: SFTPresentation, window: FiniteSubset, row_budget: int) -> Optional[int]:
-    """Transfer-matrix count over the rows of a window made of consecutive
-    rows over one set of columns; needs forbidden supports of height <= 2."""
-    if not isinstance(sft.group, Zd) or sft.group.d != 2:
-        return None
-    xs = sorted({g[0] for g in window})
-    ys = sorted({g[1] for g in window})
-    if len(window) != len(xs) * len(ys) or any(y1 - y0 != 1 for y0, y1 in zip(ys, ys[1:])):
-        return None
-    a = len(sft.alphabet)
-    if a ** len(xs) > row_budget:
-        return None
-    for p in sft.forbidden:
-        py = [g[1] for g in p.support]
-        if max(py) - min(py) > 1:
-            return None
-    # placements on two rows, at row * width + column: in row 0, or across both
-    width = len(xs)
-    two_rows = [(x, y) for y in (0, 1) for x in xs]
-    singles = []
-    pairs = []
-    for p in sft.forbidden:
-        for positions in _placements(sft.group, two_rows, p.support):
-            if max(positions) < width:
-                singles.append((positions, p.values))
-            elif min(positions) < width:
-                pairs.append((positions, p.values))
+def _cell_order(group: Group, window: FiniteSubset, placements):
+    """The order in which the transfer adds the window's cells, the step of
+    each cell, the last step that reads it, and the widest frontier: the most
+    added cells that a placement not yet complete still reads.
 
-    ok_rows = [r for r in itertools.product(range(a), repeat=width) if not _violates(r, singles)]
-    counts = {r: 1 for r in ok_rows}
-    for _ in range(len(ys) - 1):
-        nxt = {}
-        for r0, c in counts.items():
-            for r1 in ok_rows:
-                if not _violates(r0 + r1, pairs):
-                    nxt[r1] = nxt.get(r1, 0) + c
+    Over Z^d every axis order of the window is tried and the narrowest kept,
+    ties going to the canonical order; other groups use the window order.
+    """
+    n = len(window)
+    best = None
+    for axes in itertools.permutations(range(group.d)) if isinstance(group, Zd) else [()]:
+        order = sorted(range(n), key=lambda i: [window[i][k] for k in axes])
+        rank = {i: t for t, i in enumerate(order)}
+        end = dict(rank)
+        for positions, _ in placements:
+            last = max(rank[i] for i in positions)
+            for i in positions:
+                end[i] = max(end[i], last)
+        size = [0] * (n + 1)  # cell i is in the frontier after steps rank[i]..end[i]-1
+        for i in range(n):
+            size[rank[i]] += 1
+            size[end[i]] -= 1
+        width = max(itertools.accumulate(size))
+        if best is None or width < best[-1]:
+            best = (order, rank, end, width)
+    return best
+
+
+def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int:
+    """Cell-by-cell transfer: add the window's cells one at a time, counting
+    the admissible assignments for each assignment of the frontier; every
+    placement is checked at its last cell.  A state is an integer in which
+    each frontier cell owns a bit field from the step that adds it to the
+    last step that reads it."""
+    a = len(sft.alphabet)
+    placements = _embeddings(sft, window)
+    order, rank, end, width = _cell_order(sft.group, window, placements)
+    work = len(window) * a ** (width + 1)
+    if work > cap:
+        raise BudgetExceededError("window transfer", work, cap)
+    bits = (a - 1).bit_length() or 1
+    field = (1 << bits) - 1
+    due = [[] for _ in order]
+    for positions, values in placements:
+        due[max(rank[i] for i in positions)].append((positions, values))
+    shift = {}  # the slot of each frontier cell, as a bit offset
+    free = [bits * k for k in range(width, -1, -1)]
+    counts = {0: 1}
+    for t, cell in enumerate(order):
+        at = shift[cell] = free.pop()
+        checks = []
+        for positions, values in due[t]:
+            mask = want = 0
+            for i, v in zip(positions, values):
+                mask |= field << shift[i]
+                want |= v << shift[i]
+            checks.append((mask, want))
+        for i in [i for i in shift if end[i] == t]:
+            free.append(shift.pop(i))
+        keep = sum(field << s for s in shift.values())
+        nxt: Dict[int, int] = {}
+        for v in range(a):
+            new = v << at
+            for state, c in counts.items():
+                state |= new
+                for mask, want in checks:
+                    if state & mask == want:
+                        break
+                else:
+                    nxt[state & keep] = nxt.get(state & keep, 0) + c
         counts = nxt
     return sum(counts.values())
 
 
 def locally_admissible_count(
-    sft: SFTPresentation,
-    window: FiniteSubset,
-    cap: int = DEFAULT_COUNT_CAP,
-    row_budget: int = 1 << 12,
+    sft: SFTPresentation, window: FiniteSubset, cap: int = DEFAULT_COUNT_CAP
 ) -> int:
     """Patterns on the window violating no forbidden pattern fully inside it.
 
-    Exact counters are used where they apply: linear algebra over F_2 for a
-    binary SFT whose forbidden patterns are the odd-sum assignments on their
-    supports, a two-row transfer for supports of height <= 2 on box-like
-    windows; otherwise exhaustive enumeration under the cap.
+    A binary SFT whose forbidden patterns are the odd-sum assignments on their
+    supports is counted by linear algebra over F_2; every other SFT by a
+    cell-by-cell transfer over the window.  ``cap`` bounds the transfer's
+    work, |window| * a^(widest frontier + 1), and is checked before any state
+    is built.
     """
     window = sft.group.canon(window)
-    a = len(sft.alphabet)
     shapes = _parity_shapes(sft)
     if shapes is not None:
         return _parity_rank_count(sft.group, window, shapes)
-    dp = _row_dp_count(sft, window, row_budget)
-    if dp is not None:
-        return dp
-    total = a ** len(window)
-    if total > cap:
-        raise BudgetExceededError("window enumeration", total, cap)
-    placements = _embeddings(sft, window)
-    cells = len(window)
-    if a == 2:
-        checks = []
-        for positions, values in placements:
-            mask = 0
-            want = 0
-            for pos, v in zip(positions, values):
-                bit = 1 << (cells - 1 - pos)
-                mask |= bit
-                if v:
-                    want |= bit
-            checks.append((mask, want))
-        count = 0
-        for k in range(total):
-            for mask, want in checks:
-                if k & mask == want:
-                    break
-            else:
-                count += 1
-        return count
-    return sum(
-        not _violates(assignment, placements)
-        for assignment in itertools.product(range(a), repeat=cells)
-    )
+    return _transfer_count(sft, window, cap)
 
 
 # -- JSON ----------------------------------------------------------------------

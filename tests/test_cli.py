@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goelab.suite as suite_mod
 from goelab.cli import build_parser, main
@@ -224,6 +229,7 @@ GOLDEN_EVEN_RULE = {
         ({**GOLDEN_EVEN_RULE, "memory_set": [0, 1]}, "element of the rule field 'memory_set'"),
         ({**GOLDEN_EVEN_RULE, "table": [["00", "1"]]}, "'table' must be an object"),
         ({"wolfram": [30]}, "'wolfram' must be an integer"),
+        ({**GOLDEN_EVEN_RULE, "memory_set": [[None], [1]]}, "(None,) is not an element of Zd(1)"),
     ],
 )
 def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
@@ -242,6 +248,10 @@ def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
         ({"alphabet": ["0", "1"], "vertices": 1, "edges": [[0, 0]]}, "[source, target, symbol]"),
         ({"kind": "sft", "alphabet": ["0", "1"]}, "no 'forbidden' field"),
         ({"kind": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}, "forbidden pattern"),
+        (
+            {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [{"word": "11", "offset": []}]},
+            "'offset' must be an integer",
+        ),
     ],
 )
 def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, message):
@@ -250,6 +260,28 @@ def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, messa
     path = tmp_path / "domain.json"
     path.write_text(json.dumps(domain))
     code, out, err = run_cli(capsys, ["analyze", "--rule", str(rule), "--domain", str(path)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ({}, "the matrix has no 'p' field"),
+        ({"p": 3}, "the matrix has no 'd' field"),
+        ([1, 2], "a matrix must be an object, not list"),
+        (None, "a matrix must be an object, not NoneType"),
+        ({"p": None}, "'p' must be an integer"),
+        ({"group": []}, "'group' must be an object"),
+        ({"p": 3, "d": 2, "entries": [[{}]]}, "d x d matrix"),
+        ({"p": 3, "d": 1, "entries": [[{"coeffs": [{"g": [None], "c": 1}]}]]}, "not an element"),
+        ({"p": 3, "d": 1, "entries": [[{"coeffs": [{"g": [0], "c": "1"}]}]]}, "'c' must be an integer"),
+    ],
+)
+def test_malformed_matrix_json_is_an_input_error(tmp_path, capsys, matrix, message):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run_cli(capsys, ["linear", "kernel", "--matrix", str(path)])
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and message in err
 
@@ -292,3 +324,39 @@ def test_free_group_rule_file_round_trip():
     assert obj["memory_set"] == ["", "a", "A", "b", "B"]
     back = rule_from_json(obj)
     assert back == ca
+
+
+# JSON made from the keys and names the input formats use, mixed with
+# arbitrary text; integers stay small so that a well-formed input finishes fast
+FUZZ_WORDS = st.sampled_from(
+    [
+        "p", "d", "entries", "coeffs", "g", "c", "group", "type", "rank", "names", "Zd", "Free",
+        "wolfram", "table", "memory_set", "input_alphabet", "output_alphabet", "builtin", "kind",
+        "sft", "sofic", "alphabet", "forbidden", "support", "values", "word", "offset",
+        "vertices", "edges", "0", "1", "01", "golden_mean", "even_shift", "ledrappier",
+        "hard_ball:2",
+    ]
+) | st.text(max_size=3)
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | FUZZ_WORDS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(FUZZ_WORDS, inner, max_size=5),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUZZ_JSON)
+def test_any_json_input_ends_in_an_exit_code(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+        for argv in (
+            ["linear", "kernel", "--matrix", path],
+            ["analyze", "--rule", path],
+            ["decide1d", "surjective", "--rule", path],
+            ["entropy", "--subshift", path],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2)

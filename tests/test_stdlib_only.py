@@ -1,0 +1,20 @@
+"""The package depends on the Python standard library alone."""
+
+import ast
+import pathlib
+import sys
+
+
+def test_the_package_imports_only_the_standard_library():
+    sources = sorted((pathlib.Path(__file__).parent.parent / "src" / "goelab").glob("*.py"))
+    assert len(sources) >= 14
+    allowed = sys.stdlib_module_names | {"goelab"}
+    for path in sources:
+        names = []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.append(node.module)
+        foreign = sorted(n for n in names if n.split(".")[0] not in allowed)
+        assert not foreign, f"{path.name} imports {foreign}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from goelab.errors import BudgetExceededError
-from goelab.groups import Zd
+from goelab.groups import FreeGroup, Zd
 from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
@@ -268,17 +268,64 @@ def test_hard_ball_plane_window_vs_brute():
 
 
 def test_full_shift_window_count():
-    X = SFTPresentation(Zd(2), BINARY, (word_to_pattern(BINARY, "11"),))
     empty = SFTPresentation(Zd(2), BINARY, ())
     window = Zd(2).box((2, 3))
     assert locally_admissible_count(empty, window) == 2**6
 
 
 def test_locally_admissible_budget():
-    empty = SFTPresentation(Zd(2), BINARY, ())
+    # 64 cells, frontier 8: 64 * 2^9 extensions, refused before any state is built
     window = Zd(2).box((8, 8))
-    with pytest.raises(BudgetExceededError):
-        locally_admissible_count(empty, window, cap=1 << 10, row_budget=0)
+    with pytest.raises(BudgetExceededError) as info:
+        locally_admissible_count(hard_ball(2), window, cap=1 << 10)
+    assert info.value.what == "window transfer"
+    assert info.value.requested == 64 * 2**9
+
+
+def test_transfer_matches_brute_force():
+    # random SFTs on random non-box windows; the supports are shifted, so
+    # their first point is often not the identity
+    rng = random.Random(6)
+    shifted = 0
+    for i in range(150):
+        group = Zd(1 + i % 3)
+        a = 2 if i % 4 else 3
+        X = random_sft(rng, group, a, 1 + i % 3)
+        shifted += any(p.support[0] != group.identity for p in X.forbidden)
+        box = group.box({1: (10,), 2: (4, 3), 3: (3, 2, 2)}[group.d])
+        window = tuple(rng.sample(box, rng.randint(0, 10 if a == 2 else 6)))
+        assert locally_admissible_count(X, window) == brute_locally_admissible(X, window)
+    assert shifted > 50
+    # other groups add the cells in window order
+    F = FreeGroup(2)
+    X = SFTPresentation(
+        F, BINARY, tuple(Pattern.from_dict(F, {(): 1, (g,): 1}) for g in (1, 2))
+    )
+    for window in (F.ball(1), tuple(rng.sample(F.ball(2), 10))):
+        assert locally_admissible_count(X, window) == brute_locally_admissible(X, window)
+
+
+def test_transfer_counts_wide_windows():
+    z2 = Zd(2)
+    above = SFTPresentation(z2, BINARY, (Pattern.from_dict(z2, {(0, 0): 1, (0, 1): 1}),))
+    assert locally_admissible_count(above, z2.box((16, 2))) == 3**16
+    # placements 4 columns apart: only rows first keep the frontier narrow
+    apart = SFTPresentation(z2, BINARY, (Pattern.from_dict(z2, {(0, 0): 1, (4, 0): 1}),))
+    assert locally_admissible_count(apart, z2.box((6, 12))) == 36**12
+
+
+@pytest.mark.parametrize(
+    "group, pattern",
+    [
+        (Zd(1), Pattern(((0,), (0,)), (0, 1))),  # a repeated cell
+        (Zd(1), Pattern(((0,), (1,)), (1, 5))),  # a value outside the alphabet
+        (Zd(1), Pattern(((0,),), (-1,))),
+        (Zd(2), Pattern(((0,),), (1,))),  # not an element of Z^2
+    ],
+)
+def test_sft_rejects_invalid_forbidden_patterns(group, pattern):
+    with pytest.raises(ValueError):
+        SFTPresentation(group, BINARY, (pattern,))
 
 
 def random_support(rng, d, height):
