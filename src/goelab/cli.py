@@ -29,11 +29,12 @@ from .errors import BudgetExceededError
 from .groups import Zd
 from .jsonio import (
     SCHEMA_VERSION,
+    matrix_from_json,
+    pattern_to_json,
     rule_from_json,
     rule_to_json,
     subshift_from_json,
 )
-from .patterns import pattern_to_json
 
 
 def _emit(obj: dict, out_path: Optional[str]) -> None:
@@ -49,7 +50,7 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _read_json(path: str):
+def _read_input(path: str):
     if path == "-":
         data = sys.stdin.read()
     else:
@@ -67,7 +68,7 @@ def _search_budget(args) -> gs.SearchBudget:
 
 
 def _load_rule(args):
-    obj, digest = _read_json(args.rule)
+    obj, digest = _read_input(args.rule)
     return rule_from_json(obj), digest
 
 
@@ -75,7 +76,7 @@ def _load_subshift(source: Optional[str]):
     if source is None:
         return None, None
     if source.endswith(".json") or source == "-" or os.path.exists(source):
-        obj, digest = _read_json(source)
+        obj, digest = _read_input(source)
         return subshift_from_json(obj), digest
     return subshift_from_json(source), None  # builtin name
 
@@ -256,8 +257,8 @@ def cmd_n0(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    obj, digest = _read_json(args.matrix)
-    M = lc.matrix_from_json(obj)
+    obj, digest = _read_input(args.matrix)
+    M = matrix_from_json(obj)
     report = {"schema": SCHEMA_VERSION, "inputs": {"matrix_sha256": digest}}
     if args.action == "duality":
         report["duality"] = lc.duality_check(M).to_json()

@@ -36,9 +36,6 @@ class EntropyEstimate:
     rows: Tuple[Tuple[int, int, int, float], ...]
     method: str  # "count" | "perron"
 
-    def final(self) -> float:
-        return self.rows[-1][3]
-
     def to_json(self) -> dict:
         return {
             "method": self.method,

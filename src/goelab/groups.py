@@ -52,9 +52,6 @@ class Group:
         """Word-metric ball of radius n around the identity, canonically ordered."""
         raise NotImplementedError
 
-    def descriptor_json(self) -> dict:
-        raise NotImplementedError
-
     # -- finite-subset algebra -------------------------------------------
 
     def canon(self, elems: Iterable[Element]) -> FiniteSubset:
@@ -148,17 +145,18 @@ class Zd(Group):
     def ball(self, n: int) -> FiniteSubset:
         if n < 0:
             raise ValueError("radius must be >= 0")
-        cube = itertools.product(range(-n, n + 1), repeat=self.d)
-        return tuple(g for g in cube if sum(abs(c) for c in g) <= n)
+        # extend prefixes by one coordinate at a time with the radius left;
+        # each prefix list stays in lexicographic order
+        points = [((), n)]
+        for _ in range(self.d):
+            points = [(g + (c,), r - abs(c)) for g, r in points for c in range(-r, r + 1)]
+        return tuple(g for g, _ in points)
 
     def box(self, dims: Sequence[int]) -> FiniteSubset:
         """The origin-anchored box {0..dims[i]-1} in each axis."""
         if len(dims) != self.d or any(m < 1 for m in dims):
             raise ValueError(f"need {self.d} positive side lengths")
         return tuple(itertools.product(*(range(m) for m in dims)))
-
-    def descriptor_json(self):
-        return {"type": "Zd", "d": self.d}
 
 
 class FreeGroup(Group):
@@ -260,10 +258,6 @@ class FreeGroup(Group):
             sizes.append(sizes[-1] + sphere)
         return sizes
 
-    def word_length(self, g) -> int:
-        self.check(g)
-        return len(g)
-
     def word_to_str(self, g) -> str:
         """Caps-as-inverse rendering: (1, -2) -> "aB"."""
         self.check(g)
@@ -286,32 +280,5 @@ class FreeGroup(Group):
             raise GroupMismatchError(f"word {s!r} is not reduced")
         return g
 
-    def descriptor_json(self):
-        return {"type": "Free", "rank": self.rank, "names": list(self.names)}
-
     def folner_set(self, n: int):
         raise UnsupportedGroupError("free groups have no Folner sequence of balls")
-
-
-def group_from_json(obj: dict) -> Group:
-    kind = obj.get("type")
-    if kind == "Zd":
-        return Zd(int(obj["d"]))
-    if kind == "Free":
-        names = obj.get("names")
-        return FreeGroup(int(obj["rank"]), tuple(names) if names else None)
-    raise ValueError(f"unknown group descriptor {obj!r}")
-
-
-def element_to_json(group: Group, g: Element):
-    if isinstance(group, Zd):
-        return list(group.check(g))
-    return group.word_to_str(g)
-
-
-def element_from_json(group: Group, obj) -> Element:
-    """An element from its JSON form: an array of ints, or a word string
-    for a free group."""
-    if isinstance(obj, str) and isinstance(group, FreeGroup):
-        return group.word_from_str(obj)
-    return group.check(tuple(obj))

@@ -22,8 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .automaton import CellularAutomaton
 from .errors import BudgetExceededError, GroupMismatchError
-from .groups import Element, FiniteSubset, Group, Zd, element_from_json, element_to_json
-from .patterns import Alphabet
+from .groups import Element, FiniteSubset, Group, Zd
+from .patterns import Alphabet, index_to_values, values_to_index
 
 Vector = Tuple[int, ...]
 
@@ -114,6 +114,7 @@ class MatrixCA:
     entries: Tuple[Tuple[GroupRingElement, ...], ...]
 
     def __post_init__(self):
+        _check_prime(self.p)
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if len(self.entries) != self.d or any(len(row) != self.d for row in self.entries):
@@ -174,21 +175,6 @@ def vector_alphabet(p: int, d: int) -> Alphabet:
     return Alphabet(symbols)
 
 
-def vector_of_index(p: int, d: int, idx: int) -> Vector:
-    digits = [0] * d
-    for i in range(d - 1, -1, -1):
-        digits[i] = idx % p
-        idx //= p
-    return tuple(digits)
-
-
-def index_of_vector(p: int, vec: Sequence[int]) -> int:
-    idx = 0
-    for c in vec:
-        idx = idx * p + (c % p)
-    return idx
-
-
 def to_cellular_automaton(M: MatrixCA, cap: int = 1 << 20) -> CellularAutomaton:
     """Tabulate the linear rule as an ordinary dense-table automaton."""
     S = M.memory_set()
@@ -203,11 +189,11 @@ def to_cellular_automaton(M: MatrixCA, cap: int = 1 << 20) -> CellularAutomaton:
     def rule(window):
         acc = [0] * d
         for mat, sym in zip(mats, window):
-            vec = vector_of_index(p, d, sym)
+            vec = index_to_values(p, d, sym)
             for i in range(d):
                 row = mat[i]
                 acc[i] += sum(row[j] * vec[j] for j in range(d))
-        return index_of_vector(p, [c % p for c in acc])
+        return values_to_index(p, [c % p for c in acc])
 
     return CellularAutomaton.from_local_rule(M.group, alphabet, alphabet, S, rule, cap=cap)
 
@@ -370,44 +356,3 @@ def duality_check(M: MatrixCA) -> DualityReport:
         decide_preinjective(tau_star).answer,
         decide_surjective(tau_star).answer,
     )
-
-
-# -- JSON --------------------------------------------------------------------------------
-
-
-def matrix_to_json(M: MatrixCA) -> dict:
-    return {
-        "group": M.group.descriptor_json(),
-        "p": M.p,
-        "d": M.d,
-        "entries": [
-            [
-                {"coeffs": [{"g": element_to_json(M.group, g), "c": c} for g, c in e.coeffs]}
-                for e in row
-            ]
-            for row in M.entries
-        ],
-    }
-
-
-def matrix_from_json(obj: dict) -> MatrixCA:
-    from .jsonio import _expect, _field, _group
-
-    what = "the matrix"
-    _expect(obj, dict, "a matrix")
-    group = _group(obj, what) if "group" in obj else Zd(1)
-    p = _check_prime(_field(obj, "p", int, what))
-    d = _field(obj, "d", int, what)
-    rows = []
-    for row in _field(obj, "entries", list, what):
-        entries = []
-        for cell in _expect(row, list, f"a row of {what}"):
-            cell = _expect(cell, dict, f"an entry of {what}")
-            coeffs = {}
-            for item in _expect(cell.get("coeffs", []), list, f"the 'coeffs' of an entry of {what}"):
-                _expect(item, dict, "a coefficient")
-                g = _field(item, "g", (list, str), "a coefficient")
-                coeffs[element_from_json(group, g)] = _field(item, "c", int, "a coefficient")
-            entries.append(GroupRingElement.make(group, p, coeffs))
-        rows.append(tuple(entries))
-    return MatrixCA(group, p, d, tuple(rows))

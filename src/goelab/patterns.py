@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .errors import BudgetExceededError, GroupMismatchError
-from .groups import Element, FiniteSubset, Group, Zd, element_from_json, element_to_json
+from .errors import BudgetExceededError
+from .groups import Element, FiniteSubset, Group
 
 # Guard against accidentally starting astronomically large loops.
 DEFAULT_ENUMERATION_CAP = 2**32
@@ -233,23 +233,3 @@ class PeriodicConfig:
             shifted = tuple(c - gc for c, gc in zip(coords, g))
             out.append(self.value_at(shifted))
         return PeriodicConfig(self.periods, tuple(out))
-
-
-# -- JSON forms --------------------------------------------------------------
-
-
-def pattern_to_json(group: Group, alphabet: Alphabet, p: Pattern) -> dict:
-    return {
-        "support": [element_to_json(group, g) for g in p.support],
-        "values": [alphabet.symbols[v] for v in p.values],
-    }
-
-
-def pattern_from_json(group: Group, alphabet: Alphabet, obj: dict) -> Pattern:
-    if "word" in obj:
-        if not isinstance(group, Zd) or group.d != 1:
-            raise GroupMismatchError("word form is only valid over Z")
-        return word_to_pattern(alphabet, obj["word"], int(obj.get("offset", 0)))
-    support = [element_from_json(group, g) for g in obj["support"]]
-    values = [alphabet.index(s) for s in obj["values"]]
-    return Pattern.from_dict(group, dict(zip(support, values)))

@@ -11,8 +11,8 @@ on finite windows (no global-extension claims).  Window counts are exact: a
 binary SFT whose forbidden patterns are the odd-sum assignments on their
 supports (the Ledrappier builtin, or any such SFT read from JSON) is counted
 over F_2, every other SFT by a cell-by-cell transfer whose work,
-|window| * a^(widest frontier + 1), is checked against a cap before any
-state is built.
+|window| * a^(widest frontier + 1) with a the values that no one-cell
+pattern forbids, is checked against a cap before any state is built.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class SoficPresentation1D:
             if not (0 <= sym < len(self.alphabet)):
                 raise ValueError("edge symbol out of range")
         object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
-
-    def out_edges(self) -> List[List[Tuple[int, int]]]:
-        out = [[] for _ in range(self.num_vertices)]
-        for u, v, sym in self.edges:
-            out[u].append((sym, v))
-        return out
 
     def is_deterministic(self) -> bool:
         seen = set()
@@ -222,10 +216,6 @@ def sft_to_sofic(sft: SFTPresentation, budget: int = DEFAULT_STATE_BUDGET) -> So
     a = len(sft.alphabet)
     forbidden = _forbidden_words(sft)
     m = max([1] + [len(w) for w in forbidden])
-    if m == 1:
-        bad = {w[0] for w in forbidden}
-        edges = tuple((0, 0, s) for s in range(a) if s not in bad)
-        return trim(SoficPresentation1D(sft.alphabet, 1, edges))
     if a ** (m - 1) > budget:
         raise BudgetExceededError("higher-block vertices", a ** (m - 1), budget)
 
@@ -241,7 +231,7 @@ def sft_to_sofic(sft: SFTPresentation, budget: int = DEFAULT_STATE_BUDGET) -> So
     edges = []
     for w in vertices:
         for s in range(a):
-            nxt = w[1:] + (s,)
+            nxt = (w + (s,))[1:]
             if nxt in index and clean(w + (s,)):
                 edges.append((index[w], index[nxt], s))
     return trim(SoficPresentation1D(sft.alphabet, len(vertices), tuple(edges)))
@@ -610,11 +600,14 @@ def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int
     the admissible assignments for each assignment of the frontier; every
     placement is checked at its last cell.  A state is an integer in which
     each frontier cell owns a bit field from the step that adds it to the
-    last step that reads it."""
+    last step that reads it.  A value that a one-cell pattern forbids is
+    never tried, and no placement that needs one is kept."""
     a = len(sft.alphabet)
-    placements = _embeddings(sft, window)
+    banned = {p.values[0] for p in sft.forbidden if len(p.support) == 1}
+    allowed = [v for v in range(a) if v not in banned]
+    placements = [(at, vals) for at, vals in _embeddings(sft, window) if banned.isdisjoint(vals)]
     order, rank, end, width = _cell_order(sft.group, window, placements)
-    work = len(window) * a ** (width + 1)
+    work = len(window) * len(allowed) ** (width + 1)
     if work > cap:
         raise BudgetExceededError("window transfer", work, cap)
     bits = (a - 1).bit_length() or 1
@@ -638,7 +631,7 @@ def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int
             free.append(shift.pop(i))
         keep = sum(field << s for s in shift.values())
         nxt: Dict[int, int] = {}
-        for v in range(a):
+        for v in allowed:
             new = v << at
             for state, c in counts.items():
                 state |= new
@@ -659,30 +652,11 @@ def locally_admissible_count(
     A binary SFT whose forbidden patterns are the odd-sum assignments on their
     supports is counted by linear algebra over F_2; every other SFT by a
     cell-by-cell transfer over the window.  ``cap`` bounds the transfer's
-    work, |window| * a^(widest frontier + 1), and is checked before any state
-    is built.
+    work, |window| * a^(widest frontier + 1) with a the values that no
+    one-cell pattern forbids, and is checked before any state is built.
     """
     window = sft.group.canon(window)
     shapes = _parity_shapes(sft)
     if shapes is not None:
         return _parity_rank_count(sft.group, window, shapes)
     return _transfer_count(sft, window, cap)
-
-
-# -- JSON ----------------------------------------------------------------------
-
-
-def sofic_to_json(pres: SoficPresentation1D) -> dict:
-    return {
-        "alphabet": list(pres.alphabet.symbols),
-        "vertices": pres.num_vertices,
-        "edges": [[u, v, pres.alphabet.symbols[s]] for (u, v, s) in pres.edges],
-    }
-
-
-def sofic_from_json(obj: dict) -> SoficPresentation1D:
-    alphabet = Alphabet(tuple(obj["alphabet"]))
-    edges = tuple(
-        (int(u), int(v), alphabet.index(sym)) for u, v, sym in obj["edges"]
-    )
-    return SoficPresentation1D(alphabet, int(obj["vertices"]), edges)

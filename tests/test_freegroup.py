@@ -88,9 +88,9 @@ def test_ex2_matrix_shape():
 def test_ex2_image_in_first_coordinate():
     M = muller_myhill_ca()
     ca = to_cellular_automaton(M)
-    from goelab.linear_ca import vector_of_index
+    from goelab.patterns import index_to_values
 
-    assert all(vector_of_index(2, 2, out)[1] == 0 for out in ca.table)
+    assert all(index_to_values(2, 2, out)[1] == 0 for out in ca.table)
 
 
 def test_ex2_impulse_support_is_the_sphere():

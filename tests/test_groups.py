@@ -101,6 +101,15 @@ def test_zd_ball_is_one_norm():
     assert len(ball2) == 13
 
 
+def test_zd_ball_is_the_filtered_cube_in_order():
+    for d in range(1, 5):
+        for n in range(4):
+            cube = itertools.product(range(-n, n + 1), repeat=d)
+            assert Zd(d).ball(n) == tuple(g for g in cube if sum(map(abs, g)) <= n)
+    # the cube at d = 8 has 5,764,801 points; the ball is enumerated directly
+    assert len(Zd(8).ball(3)) == 833
+
+
 def brute_sphere_words(n):
     return [
         w

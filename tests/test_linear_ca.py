@@ -18,17 +18,14 @@ from goelab.linear_ca import (
     apply_linear,
     convolution,
     duality_check,
-    index_of_vector,
     involution,
     kernel_finite_support,
-    matrix_from_json,
     matrix_multiply,
-    matrix_to_json,
     pairing,
     to_cellular_automaton,
-    vector_of_index,
 )
-from goelab.patterns import FiniteConfig
+from goelab.jsonio import matrix_from_json, matrix_to_json
+from goelab.patterns import FiniteConfig, index_to_values, values_to_index
 
 Z = Zd(1)
 
@@ -120,11 +117,11 @@ def test_table_matches_direct_formula_d2():
         cells = {g: v for g, v in cells.items() if any(v)}
         direct = apply_linear(M, cells)
         config = FiniteConfig.make(
-            Z, 0, {g: index_of_vector(2, v) for g, v in cells.items()}
+            Z, 0, {g: values_to_index(2, v) for g, v in cells.items()}
         )
         via_table = apply_to_finite_config(ca, config)
         got = {
-            g: vector_of_index(2, 2, v)
+            g: index_to_values(2, 2, v)
             for g, v in via_table.deviation.as_dict().items()
         }
         assert got == direct
@@ -134,11 +131,11 @@ def test_realized_tables_are_additive():
     rng = random.Random(7)
 
     def vec_add(p, d, s1, s2):
-        return index_of_vector(
+        return values_to_index(
             p,
             [
                 (x + y) % p
-                for x, y in zip(vector_of_index(p, d, s1), vector_of_index(p, d, s2))
+                for x, y in zip(index_to_values(p, d, s1), index_to_values(p, d, s2))
             ],
         )
 

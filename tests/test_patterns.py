@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from goelab.errors import BudgetExceededError
 from goelab.groups import FreeGroup, Zd
+from goelab.jsonio import pattern_from_json, pattern_to_json
 from goelab.patterns import (
     Alphabet,
     BINARY,
@@ -11,9 +12,7 @@ from goelab.patterns import (
     PeriodicConfig,
     enumerate_patterns,
     index_to_pattern,
-    pattern_from_json,
     pattern_index,
-    pattern_to_json,
     pattern_to_word,
     translate_pattern,
     word_to_pattern,

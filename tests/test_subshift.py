@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from goelab.errors import BudgetExceededError
 from goelab.groups import FreeGroup, Zd
+from goelab.jsonio import sofic_from_json, sofic_to_json
 from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
@@ -27,8 +28,6 @@ from goelab.subshift import (
     sft_to_sofic,
     sofic_compare,
     sofic_equal,
-    sofic_from_json,
-    sofic_to_json,
     trim,
     word_appears,
 )
@@ -312,6 +311,25 @@ def test_transfer_counts_wide_windows():
     # placements 4 columns apart: only rows first keep the frontier narrow
     apart = SFTPresentation(z2, BINARY, (Pattern.from_dict(z2, {(0, 0): 1, (4, 0): 1}),))
     assert locally_admissible_count(apart, z2.box((6, 12))) == 36**12
+
+
+def test_transfer_drops_values_a_one_cell_pattern_forbids():
+    z2 = Zd(2)
+
+    def sft(a, *patterns):
+        forbidden = tuple(Pattern.from_dict(z2, p) for p in patterns)
+        return SFTPresentation(z2, Alphabet.of_size(a), forbidden)
+
+    # sized over all three values, this window's work is 40,920,957 > DEFAULT_COUNT_CAP
+    ternary = sft(3, {(0, 0): 1}, {(0, 0): 2, (1, 3): 2})
+    binary = sft(2, {(0, 0): 1, (1, 3): 1})
+    box = z2.box((7, 11))
+    assert locally_admissible_count(ternary, box) == 1528823808000000000
+    assert locally_admissible_count(binary, box) == 1528823808000000000
+    only_zero = sft(2, {(0, 0): 1}, {(0, 0): 1, (1, 3): 1})
+    assert locally_admissible_count(only_zero, z2.box((16, 16))) == 1
+    nothing = sft(3, {(0, 0): 0}, {(0, 0): 1}, {(0, 0): 2}, {(0, 0): 1, (0, 1): 2})
+    assert locally_admissible_count(nothing, z2.box((3, 3))) == 0
 
 
 @pytest.mark.parametrize(
