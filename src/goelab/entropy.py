@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .automaton import CellularAutomaton
 from .decide1d import image_presentation, normalize_interval
@@ -141,18 +141,21 @@ def _strongly_connected_components(n: int, adj: List[List[int]]) -> List[List[in
     return comps
 
 
-def _spectral_radius(matrix: List[List[int]], tol: float) -> float:
+def _spectral_radius(rows: List[List[Tuple[int, int]]], tol: float) -> float:
     """Largest eigenvalue of a nonnegative irreducible integer matrix with a
-    certified bracket: power iteration on M + I, min/max Collatz ratios."""
-    n = len(matrix)
+    certified bracket: power iteration on M + I, min/max Collatz ratios.
+
+    Row i of M is ``rows[i]``, its nonzero entries as (column, count) pairs
+    in ascending column order.  Each row sum adds the same nonzero terms in
+    the same order as a dense loop would (the dense loop's other terms are
+    exact zeros), so the result does not depend on the storage.
+    """
+    n = len(rows)
     if n == 0:
         return 0.0
     v = [1.0] * n
     for _ in range(100000):
-        w = [
-            sum(matrix[i][j] * v[j] for j in range(n)) + v[i]
-            for i in range(n)
-        ]
+        w = [sum(c * v[j] for j, c in row) + v[i] for i, row in enumerate(rows)]
         ratios = [w[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         norm = max(w)
@@ -167,26 +170,25 @@ def perron_entropy(X, tol: float = 1e-9) -> float:
 
     On a non-strongly-connected graph the value is the maximum over the
     strongly connected components.  Returns -inf for an empty language.
+    The iteration runs over sparse rows, O(edges) per step and O(edges)
+    memory, never over an n x n matrix.
     """
     pres = determinize(presentation_of(X))
     n = pres.num_vertices
     if n == 0:
         return float("-inf")
-    counts = [[0] * n for _ in range(n)]
-    adj: List[List[int]] = [[] for _ in range(n)]
+    succ: List[Dict[int, int]] = [{} for _ in range(n)]  # successor -> edge count
     for u, v, _ in pres.edges:
-        if counts[u][v] == 0:
-            adj[u].append(v)
-        counts[u][v] += 1
+        succ[u][v] = succ[u].get(v, 0) + 1
     best = 0.0
-    for comp in _strongly_connected_components(n, adj):
-        if len(comp) == 1:
-            u = comp[0]
-            if counts[u][u] == 0:
-                continue
-        sub = [[counts[u][v] for v in comp] for u in comp]
-        radius = _spectral_radius(sub, tol)
-        best = max(best, radius)
+    for comp in _strongly_connected_components(n, [list(row) for row in succ]):
+        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+            continue
+        local = {u: k for k, u in enumerate(comp)}
+        rows = [
+            sorted((local[v], c) for v, c in succ[u].items() if v in local) for u in comp
+        ]
+        best = max(best, _spectral_radius(rows, tol))
     if best <= 0.0:
         return float("-inf")
     return math.log(best)

@@ -153,6 +153,11 @@ def _pattern(group: Group, alphabet: Alphabet, obj, what: str) -> Pattern:
     values = [alphabet.index(s) for s in _field(obj, "values", list, what)]
     if len(values) != len(support):
         raise ValueError(f"{what} has {len(support)} support points but {len(values)} values")
+    seen = set()
+    for g in support:
+        if g in seen:
+            raise ValueError(f"{what} names the cell {element_to_json(group, g)} twice")
+        seen.add(g)
     return Pattern.from_dict(group, dict(zip(support, values)))
 
 
@@ -199,7 +204,7 @@ def rule_to_json(ca: CellularAutomaton) -> dict:
 def rule_from_json(obj: dict) -> CellularAutomaton:
     _expect(obj, dict, "a rule")
     if "wolfram" in obj:
-        return wolfram_rule(int(_field(obj, "wolfram", (int, str), "the rule")))
+        return wolfram_rule(_field(obj, "wolfram", int, "the rule"))
     group = _group(obj, "the rule")
     input_alphabet = _alphabet(obj, "input_alphabet", "the rule")
     output_alphabet = (

@@ -128,6 +128,15 @@ def test_entropy_csv(capsys):
     assert len(lines) == 4
 
 
+def test_entropy_subshift_naming_a_cell_twice_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "sft.json"
+    forbidden = [{"support": [[0], [0]], "values": ["0", "1"]}]
+    path.write_text(json.dumps({"kind": "sft", "alphabet": ["0", "1"], "forbidden": forbidden}))
+    code, out, err = run_cli(capsys, ["entropy", "--subshift", str(path)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "names the cell [0] twice" in err
+
+
 def test_n0_verb(capsys):
     code, out, _ = run_cli(capsys, ["n0", "--a", "2", "--k", "2", "--d", "1", "--r", "1"])
     assert code == 0
@@ -230,6 +239,8 @@ GOLDEN_EVEN_RULE = {
         ({**GOLDEN_EVEN_RULE, "table": [["00", "1"]]}, "'table' must be an object"),
         ({"wolfram": [30]}, "'wolfram' must be an integer"),
         ({**GOLDEN_EVEN_RULE, "memory_set": [[None], [1]]}, "(None,) is not an element of Zd(1)"),
+        ({"wolfram": "30"}, "'wolfram' must be an integer, not str"),
+        ({"wolfram": " 30 "}, "'wolfram' must be an integer, not str"),
     ],
 )
 def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):

@@ -214,6 +214,55 @@ def test_moore_myhill_for_all_elementary_rules():
         assert surjective == preinjective, f"Rule {n} breaks the equivalence"
 
 
+def _permutive_or_random_ca(rng, a, width):
+    """Half plain random tables, half tables permutive in the first or the
+    last cell (x -> x + g(rest) mod a), which are surjective."""
+    S = tuple((c,) for c in range(width))
+    alphabet = Alphabet.of_size(a)
+    kind = rng.choice(("random", "left", "right"))
+    if kind == "random":
+        table = tuple(rng.randrange(a) for _ in range(a**width))
+    else:
+        g = [rng.randrange(a) for _ in range(a ** (width - 1))]
+        # window k reads x_0 as its leading base-a digit and x_{w-1} as its last
+        table = tuple(
+            (k // a ** (width - 1) + g[k % a ** (width - 1)]) % a
+            if kind == "left"
+            else (k % a + g[k // a]) % a
+            for k in range(a**width)
+        )
+    return CellularAutomaton(Z, alphabet, alphabet, S, table)
+
+
+def test_hedlund_balance_against_decide_surjective():
+    # Hedlund (1969): a surjective rule gives every output word of length L
+    # exactly a^(w-1) preimages of length L + w - 1, so any unbalanced word
+    # must come with a non-surjective verdict
+    rng = random.Random(31)
+    verdicts = {True: 0, False: 0}
+    unbalanced_without_missing_word = 0
+    for a, width in [(2, 3), (2, 4), (2, 5), (3, 3)] * 12:
+        ca = _permutive_or_random_ca(rng, a, width)
+        w = len(normalize_interval(ca).memory_set)
+        counts = [
+            count_preimages(ca, "".join(map(str, word)))
+            for L in range(1, 4)
+            for word in itertools.product(range(a), repeat=L)
+        ]
+        balanced = set(counts) == {a ** (w - 1)}
+        verdict = decide_surjective(ca)
+        verdicts[verdict.answer] += 1
+        if verdict.answer:
+            assert balanced
+        else:
+            assert count_preimages(ca, verdict.witness["word"]) == 0
+            unbalanced_without_missing_word += not balanced and 0 not in counts
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
+    # some rules are unbalanced on words of length <= 3 while every such word
+    # still has a preimage, so balance is a stronger check than brute force here
+    assert unbalanced_without_missing_word > 0
+
+
 def brute_has_goe_word(ca, max_len):
     ca = normalize_interval(ca)
     w = len(ca.memory_set)

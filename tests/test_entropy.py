@@ -6,7 +6,9 @@ import random
 import pytest
 
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
+from goelab.decide1d import image_presentation
 from goelab.entropy import (
+    _strongly_connected_components,
     image_entropy_check,
     no_surjection_bigger_alphabet_check,
     pattern_count_entropy,
@@ -18,12 +20,15 @@ from goelab.groups import FreeGroup, Zd
 from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
+    SoficPresentation1D,
+    determinize,
     even_shift,
     full_shift,
     golden_mean,
     hard_ball,
     language_count,
     ledrappier,
+    presentation_of,
 )
 from conftest import make_golden_even_ca
 
@@ -71,6 +76,88 @@ def test_perron_full_shift_and_period2():
         Z, BINARY, (word_to_pattern(BINARY, "00"), word_to_pattern(BINARY, "11"))
     )
     assert abs(perron_entropy(period2)) < 1e-12
+
+
+def _perron_battery():
+    """Named shifts, then seeded random images of full shifts: 42 binary of
+    widths 2-4, 20 ternary of width 2 and 10 binary of width 5."""
+    period2 = SFTPresentation(
+        Z, BINARY, (word_to_pattern(BINARY, "00"), word_to_pattern(BINARY, "11"))
+    )
+    yield from (golden_mean(), even_shift(), period2, full_shift(BINARY))
+    yield full_shift(Alphabet.of_size(3))
+    rng = random.Random(8)
+    for a, widths, count in ((2, (2, 3, 4), 42), (3, (2,), 20), (2, (5,), 10)):
+        A = Alphabet.of_size(a)
+        for k in range(count):
+            width = widths[k % len(widths)]
+            table = tuple(rng.randrange(a) for _ in range(a**width))
+            S = tuple((c,) for c in range(width))
+            yield image_presentation(CellularAutomaton(Z, A, A, S, table))
+
+
+# sha256 of repr() of the 77 battery values, recorded with the dense n x n
+# iteration before the rows went sparse
+PINNED_PERRON_DIGEST = "3dc99dd3f329f410032bee2eda1689c5b38a9134ed3f1017883625190665bc01"
+
+
+def test_pinned_perron_digest():
+    values = [perron_entropy(X) for X in _perron_battery()]
+    assert len(values) == 77
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == PINNED_PERRON_DIGEST
+
+
+def _dense_perron_entropy(X, tol=1e-9):
+    """The dense n x n power iteration perron_entropy ran before its rows
+    went sparse, kept as the reference."""
+    pres = determinize(presentation_of(X))
+    n = pres.num_vertices
+    if n == 0:
+        return float("-inf")
+    counts = [[0] * n for _ in range(n)]
+    adj = [[] for _ in range(n)]
+    for u, v, _ in pres.edges:
+        if counts[u][v] == 0:
+            adj[u].append(v)
+        counts[u][v] += 1
+    best = 0.0
+    for comp in _strongly_connected_components(n, adj):
+        if len(comp) == 1 and counts[comp[0]][comp[0]] == 0:
+            continue
+        sub = [[counts[u][v] for v in comp] for u in comp]
+        m = len(comp)
+        vec = [1.0] * m
+        for _ in range(100000):
+            w = [sum(sub[i][j] * vec[j] for j in range(m)) + vec[i] for i in range(m)]
+            ratios = [w[i] / vec[i] for i in range(m)]
+            lo, hi = min(ratios), max(ratios)
+            norm = max(w)
+            vec = [x / norm for x in w]
+            if hi - lo < tol:
+                break
+        else:
+            raise RuntimeError("no bracket")
+        best = max(best, (lo + hi) / 2.0 - 1.0)
+    return math.log(best) if best > 0.0 else float("-inf")
+
+
+def test_sparse_perron_equals_the_dense_iteration():
+    rng = random.Random(23)
+    compared = 0
+    while compared < 150:
+        a = rng.choice((2, 3))
+        n = rng.randint(1, 8)
+        edges = tuple(
+            (u, rng.randrange(n), sym)
+            for u in range(n)
+            for sym in range(a)
+            for _ in range(rng.randint(0, 2))  # 0-2 edges per label: not right-resolving
+        )
+        X = SoficPresentation1D(Alphabet.of_size(a), n, edges)
+        if determinize(X).num_vertices > 40:
+            continue
+        assert perron_entropy(X) == _dense_perron_entropy(X)
+        compared += 1
 
 
 def test_estimates_dominate_perron_with_small_final_gap():

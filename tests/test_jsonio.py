@@ -35,6 +35,7 @@ EVEN = {"alphabet": ["0", "1"], "vertices": 2, "edges": [[0, 0, "1"], [0, 1, "0"
         lambda: group_from_json({"type": "Zd", "d": True}),
         lambda: element_from_json(Zd(2), [0, False]),
         lambda: matrix_from_json({"p": 2, "d": 1, "entries": [[{"coeffs": [{"g": [0], "c": True}]}]]}),
+        lambda: pattern_from_json(Zd(1), BINARY, {"support": [[0], [0]], "values": ["0", "1"]}),
     ],
 )
 def test_library_parsers_reject_what_they_would_coerce(parse):
