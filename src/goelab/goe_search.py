@@ -24,6 +24,7 @@ distinct ME pair.  The searches count windows by separate conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -49,17 +50,13 @@ class SearchBudget:
 def window_schedule(d: int, budget: SearchBudget) -> Iterator[FiniteSubset]:
     """Origin-anchored boxes in nondecreasing cell count, cubes first among
     equal counts, then lexicographic side lengths."""
+    # extend prefixes of side lengths with the cells left, as Zd.ball does
+    sides = [((), budget.max_window_cells)]
+    for _ in range(d):
+        sides = [(dims + (m,), left // m) for dims, left in sides for m in range(1, left + 1)]
     group = Zd(d)
-    boxes = []
-    max_side = budget.max_window_cells
-    for dims in itertools.product(range(1, max_side + 1), repeat=d):
-        cells = 1
-        for m in dims:
-            cells *= m
-        if cells <= budget.max_window_cells:
-            is_cube = 0 if len(set(dims)) == 1 else 1
-            boxes.append((cells, is_cube, dims))
-    for _, _, dims in sorted(boxes):
+    order = sorted((math.prod(dims), len(set(dims)) > 1, dims) for dims, _ in sides)
+    for _, _, dims in order:
         yield group.box(dims)
 
 

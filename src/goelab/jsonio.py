@@ -263,10 +263,13 @@ def subshift_from_json(obj) -> object:
             return even_shift()
         if name == "ledrappier":
             return ledrappier()
-        if name.startswith("hard_ball:"):
-            return hard_ball(int(name.split(":", 1)[1]))
-        if name.startswith("full_shift:"):
-            return full_shift(Alphabet.of_size(int(name.split(":", 1)[1])))
+        head, colon, size = name.partition(":")
+        if colon and head in ("hard_ball", "full_shift"):
+            if not (size.isascii() and size.isdigit()):
+                raise ValueError(f"builtin subshift {name!r} must end in a plain decimal number")
+            if head == "hard_ball":
+                return hard_ball(int(size))
+            return full_shift(Alphabet.of_size(int(size)))
         raise ValueError(f"unknown builtin subshift {name!r}")
     kind = obj.get("kind", "sofic" if "edges" in obj else "sft")
     if kind == "sofic":

@@ -4,7 +4,9 @@ One-dimensional language questions are all answered on edge-labeled directed
 graphs: SFTs over Z are compiled to their higher-block graphs, and every
 language operation (membership, counting, determinization, equality) runs on
 the trimmed essential graph, where finite walk labels are exactly the words
-of the subshift's language.
+of the subshift's language.  The compiler checks its budget on the a^(m-1)
+higher-block vertices before any word is enumerated, and matches gapped
+forbidden patterns in place, their gaps as wildcards.
 
 Membership for Z^d SFTs with d >= 2 is exposed only as local admissibility
 on finite windows (no global-extension claims).  Window counts are exact: a
@@ -190,51 +192,37 @@ def ledrappier() -> SFTPresentation:
 # -- SFT compilation over Z ----------------------------------------------------
 
 
-def _forbidden_words(sft: SFTPresentation) -> List[Tuple[int, ...]]:
-    a = len(sft.alphabet)
-    words = set()
-    for p in sft.forbidden:
-        cells = [g[0] for g in p.support]
-        lo, hi = min(cells), max(cells)
-        width = hi - lo + 1
-        fixed = {c - lo: v for c, v in zip(cells, p.values)}
-        free = [i for i in range(width) if i not in fixed]
-        for fill in itertools.product(range(a), repeat=len(free)):
-            w = [0] * width
-            for i, v in fixed.items():
-                w[i] = v
-            for i, v in zip(free, fill):
-                w[i] = v
-            words.add(tuple(w))
-    return sorted(words)
-
-
 def sft_to_sofic(sft: SFTPresentation, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1D:
-    """Higher-block graph: vertices are allowed (m-1)-words, edges m-words."""
+    """Higher-block graph: vertices are allowed (m-1)-words, edges m-words.
+
+    A forbidden pattern is kept as its span and its cells, as offsets from
+    its leftmost cell, and is matched in place: its gaps are wildcards.  m is
+    the widest span, and a^(m-1) is checked against the budget before any
+    word is enumerated.  Words grow one symbol at a time from the allowed
+    words, so only the matches ending at the new symbol are checked.
+    """
     if not isinstance(sft.group, Zd) or sft.group.d != 1:
         raise UnsupportedGroupError("graph compilation is for Z subshifts")
     a = len(sft.alphabet)
-    forbidden = _forbidden_words(sft)
-    m = max([1] + [len(w) for w in forbidden])
+    rules = []
+    for p in sft.forbidden:
+        lo, hi = min(p.support)[0], max(p.support)[0]
+        rules.append((hi - lo + 1, [(g - lo, v) for (g,), v in zip(p.support, p.values)]))
+    m = max([1] + [span for span, _ in rules])
     if a ** (m - 1) > budget:
         raise BudgetExceededError("higher-block vertices", a ** (m - 1), budget)
-
-    def clean(word):
-        return not any(
-            word[i : i + len(f)] == f
-            for f in forbidden
-            for i in range(len(word) - len(f) + 1)
-        )
-
-    vertices = [w for w in itertools.product(range(a), repeat=m - 1) if clean(w)]
+    words = [()]
+    for n in range(1, m + 1):
+        vertices = words
+        ending = [(n - span, cells) for span, cells in rules if span <= n]
+        words = [
+            w
+            for w in (u + (s,) for u in vertices for s in range(a))
+            if not any(all(w[i + c] == v for c, v in cells) for i, cells in ending)
+        ]
     index = {w: i for i, w in enumerate(vertices)}
-    edges = []
-    for w in vertices:
-        for s in range(a):
-            nxt = (w + (s,))[1:]
-            if nxt in index and clean(w + (s,)):
-                edges.append((index[w], index[nxt], s))
-    return trim(SoficPresentation1D(sft.alphabet, len(vertices), tuple(edges)))
+    edges = tuple((index[w[:-1]], index[w[1:]], w[-1]) for w in words)
+    return trim(SoficPresentation1D(sft.alphabet, len(vertices), edges))
 
 
 def presentation_of(X, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1D:
@@ -545,18 +533,20 @@ def _parity_shapes(sft: SFTPresentation) -> Optional[List[FiniteSubset]]:
 
 
 def _parity_rank_count(group: Group, window: FiniteSubset, shapes: List[FiniteSubset]) -> int:
-    """2^(cells - rank) of the parity checks, by elimination on bitmask rows."""
-    pivots = []
+    """2^(cells - rank) of the parity checks, by elimination on bitmask rows.
+
+    One pivot is kept per leading bit.  A row is XORed with the pivot at its
+    current leading bit until it is zero, or leads with a bit that has no
+    pivot yet and becomes that bit's pivot.
+    """
+    pivots: Dict[int, int] = {}
     for shape in shapes:
         for positions in _placements(group, window, shape):
-            row = 0
-            for p in positions:
-                row ^= 1 << p
-            for q in pivots:
-                row = min(row, row ^ q)
+            row = sum(1 << p for p in positions)
+            while row and (top := row.bit_length()) in pivots:
+                row ^= pivots[top]
             if row:
-                pivots.append(row)
-                pivots.sort(reverse=True)
+                pivots[top] = row
     return 2 ** (len(window) - len(pivots))
 
 

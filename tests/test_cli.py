@@ -263,6 +263,11 @@ def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
             {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [{"word": "11", "offset": []}]},
             "'offset' must be an integer",
         ),
+        ({"builtin": "hard_ball: 2"}, "must end in a plain decimal number"),
+        ({"builtin": "full_shift:+2"}, "must end in a plain decimal number"),
+        ({"builtin": "hard_ball:2_0"}, "must end in a plain decimal number"),
+        ({"builtin": "full_shift:\u0662"}, "must end in a plain decimal number"),
+        ({"builtin": "hard_ball:"}, "must end in a plain decimal number"),
     ],
 )
 def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, message):

@@ -57,6 +57,27 @@ def test_window_schedule_is_cube_first_nondecreasing():
     assert four_cells[0] == Z2.box((2, 2))  # the square precedes 1x4 and 4x1
 
 
+def product_filter_schedule(d, budget):
+    """The side tuples of window_schedule, found by filtering every tuple."""
+    boxes = []
+    for dims in itertools.product(range(1, budget.max_window_cells + 1), repeat=d):
+        cells = 1
+        for m in dims:
+            cells *= m
+        if cells <= budget.max_window_cells:
+            boxes.append((cells, 0 if len(set(dims)) == 1 else 1, dims))
+    return [Zd(d).box(dims) for _, _, dims in sorted(boxes)]
+
+
+def test_window_schedule_builds_only_the_boxes_within_budget():
+    for d, largest in ((1, 16), (2, 16), (3, 16), (4, 12), (5, 8), (6, 6)):
+        for cells in range(1, largest + 1):
+            budget = SearchBudget(max_window_cells=cells)
+            assert list(window_schedule(d, budget)) == product_filter_schedule(d, budget)
+    # filtering all 12^8 side tuples would take minutes
+    assert sum(1 for _ in window_schedule(8, SearchBudget())) == 649
+
+
 def test_image_pattern_set_identity():
     images = image_pattern_set(identity_ca(Z, BINARY), interval(3))
     assert len(images) == 8

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +115,59 @@ def test_sft_compilation_presents_the_same_language():
     for n in range(1, 8):
         for w in all_words(n):
             assert word_appears(compiled, w) == golden_ok(w)
+
+
+def compile_battery():
+    """Seeded random SFTs over Z: binary and ternary, with 0-3 forbidden
+    patterns of 1-3 cells drawn from -2..5, so supports are shifted and gapped."""
+    z1 = Zd(1)
+    rng = random.Random(9)
+    cases = []
+    for i in range(400):
+        a = 2 + i % 2
+        forbidden = []
+        for _ in range(rng.randint(0, 3)):
+            cells = rng.sample(range(-2, 6), rng.randint(1, 3))
+            forbidden.append(Pattern.from_dict(z1, {(c,): rng.randrange(a) for c in cells}))
+        cases.append(SFTPresentation(z1, Alphabet.of_size(a), tuple(forbidden)))
+    return cases
+
+
+def compiled_or_refused(X):
+    try:
+        return repr(sft_to_sofic(X, budget=1 << 10))
+    except BudgetExceededError as e:
+        return f"refused {e.what} {e.requested}"
+
+
+# sha256 of compiled_or_refused over compile_battery(), one line each, recorded
+# while gapped patterns were still expanded into words
+PINNED_COMPILE_DIGEST = "edd6ba7bdf6522bbf74b9ac43966fc7ad0c8aac5df6e3009ae57efaef9f5b773"
+
+
+def test_pinned_compile_digest():
+    rows = [compiled_or_refused(X) for X in compile_battery()]
+    assert sum(row.startswith("refused") for row in rows) > 10
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PINNED_COMPILE_DIGEST
+
+
+def test_compile_budget_is_checked_before_any_word_is_built():
+    far = SFTPresentation(Zd(1), BINARY, (Pattern.from_dict(Zd(1), {(0,): 1, (60,): 1}),))
+
+    def too_slow(signum, frame):
+        raise AssertionError("sft_to_sofic enumerated words before checking its budget")
+
+    # an alarm turns a word-by-word expansion of the gap into a quick failure
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            sft_to_sofic(far)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.what == "higher-block vertices"
+    assert info.value.requested == 2**60
 
 
 def naive_live(n, edges, need_in, need_out):
@@ -440,6 +494,11 @@ def test_ledrappier_read_from_json_gets_the_exact_counter():
 
     X = subshift_from_json(json.loads(json.dumps(subshift_to_json(ledrappier()))))
     assert locally_admissible_count(X, Zd(2).box((26, 26))) == 2**51
+
+
+def test_ledrappier_box_count_has_its_closed_form():
+    # the (n-1)^2 L-shaped checks of an n x n box are independent
+    assert locally_admissible_count(ledrappier(), Zd(2).box((60, 60))) == 2**119
 
 
 def test_parity_counter_matches_brute_force():
