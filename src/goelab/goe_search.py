@@ -10,7 +10,10 @@ canonical, so results are reproducible and independent of how work is split.
 
 Each search walks ``window_schedule`` and probes each window for the
 least-index pattern missing from its image set (GOE) or the least-index
-distinct ME pair.  The searches count windows by separate conventions:
+distinct ME pair, one kernel per window: inner loops add integer place
+values and read the rule table.  Image sets are built a cell column at a
+time; ME classes are refined by output cell and extension, exiting early
+once every class is a singleton.  Windows are counted by three conventions:
 
 - ``find_goe_pattern``: a window whose image set is over budget is skipped,
   every other window is scanned.
@@ -23,15 +26,17 @@ distinct ME pair.  The searches count windows by separate conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .automaton import CellularAutomaton
 from .errors import BudgetExceededError, GroupMismatchError
 from .groups import FiniteSubset, Zd
-from .patterns import Pattern, index_to_values, values_to_index
+from .patterns import Pattern
 
 
 @dataclass(frozen=True)
@@ -54,48 +59,50 @@ def window_schedule(d: int, budget: SearchBudget) -> Iterator[FiniteSubset]:
     sides = [((), budget.max_window_cells)]
     for _ in range(d):
         sides = [(dims + (m,), left // m) for dims, left in sides for m in range(1, left + 1)]
-    group = Zd(d)
     order = sorted((math.prod(dims), len(set(dims)) > 1, dims) for dims, _ in sides)
     for _, _, dims in order:
-        yield group.box(dims)
+        yield _box(d, dims)
 
 
-def _window_positions(group: Zd, window: FiniteSubset, S: FiniteSubset):
-    """Support of the inputs feeding a window, plus per-cell window offsets."""
-    inputs = group.set_product(window, S)
-    pos = {g: i for i, g in enumerate(inputs)}
-    offsets = [
-        [pos[group.mul(g, s)] for s in S] for g in window
-    ]
-    return inputs, offsets
+def _reads(group: Zd, cells, S: FiniteSubset) -> list:
+    """g*S for each cell g, in memory-set order; elements are checked once."""
+    S = [group.check(s) for s in S]
+    return [[tuple(map(operator.add, g, s)) for s in S] for g in map(group.check, cells)]
 
 
 def image_pattern_set(
     ca: CellularAutomaton, window: FiniteSubset, max_candidates: int = 1 << 16
 ) -> set:
     """Exactly { tau(x)|_window : x } as a set of value tuples; exhaustive
-    over the inputs on window*S, which suffice by locality."""
+    over the inputs on window*S, which suffice by locality.  Each cell's
+    output column over the inputs in index order is built up to its first
+    read, then repeated; the image set is the set of rows."""
     group = ca.group
     if not isinstance(group, Zd):
         raise GroupMismatchError("finite-window search needs Z^d")
     window = group.canon(window)
     a = len(ca.input_alphabet)
-    inputs, offsets = _window_positions(group, window, ca.memory_set)
+    reads = _reads(group, window, ca.memory_set)
+    inputs = group.canon(itertools.chain.from_iterable(reads))
     total = a ** len(inputs)
     if total > max_candidates:
         raise BudgetExceededError("image enumeration", total, max_candidates)
-    table = ca.table
-    images = set()
-    for assignment in itertools.product(range(a), repeat=len(inputs)):
-        img = tuple(
-            table[values_to_index(a, [assignment[k] for k in offs])]
-            for offs in offsets
-        )
-        images.add(img)
-    return images
+    position = {h: k for k, h in enumerate(inputs)}
+    places = [a**k for k in reversed(range(len(ca.memory_set)))]
+    columns = []
+    for cells in reads:
+        place = {position[h]: w for h, w in zip(cells, places)}
+        top = min(place, default=0)
+        column = [0]
+        for k in range(len(inputs) - 1, top - 1, -1):
+            w = place.get(k)
+            column = column * a if w is None else [x + v * w for v in range(a) for x in column]
+        columns.append(list(map(ca.table.__getitem__, column)) * a**top)
+    # an empty window has one (empty) image and no columns
+    return set(zip(*columns)) or {()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     """Result of a budgeted window search; ``found`` is None on exhaustion."""
 
@@ -112,16 +119,12 @@ class SearchOutcome:
 def _goe_on(
     ca: CellularAutomaton, window: FiniteSubset, budget: SearchBudget
 ) -> Optional[Pattern]:
-    """Least-index pattern on the window missing from the image set, or None;
-    raises BudgetExceededError when the image set is over budget."""
+    """Least-index pattern not in the window's image set, or None; may raise BudgetExceededError."""
     images = image_pattern_set(ca, window, budget.max_candidates)
-    b = len(ca.output_alphabet)
-    total = b ** len(window)
-    if len(images) == total:
-        return None
-    indices = {values_to_index(b, img) for img in images}
-    k = next(k for k in range(total) if k not in indices)
-    return Pattern(window, index_to_values(b, len(window), k))
+    # product order is pattern index order
+    values = itertools.product(range(len(ca.output_alphabet)), repeat=len(window))
+    missing = next((v for v in values if v not in images), None)
+    return None if missing is None else Pattern(window, missing)
 
 
 def find_goe_pattern(
@@ -133,8 +136,7 @@ def find_goe_pattern(
     group = ca.group
     if not isinstance(group, Zd):
         raise GroupMismatchError("finite-window search needs Z^d")
-    scanned = 0
-    skipped = 0
+    scanned = skipped = 0
     for window in window_schedule(group.d, budget):
         try:
             found = _goe_on(ca, window, budget)
@@ -150,6 +152,39 @@ def find_goe_pattern(
 # -- mutually erasable patterns -------------------------------------------------
 
 
+def _me_groups(
+    ca: CellularAutomaton, window: FiniteSubset, patterns: list, max_candidates: int
+) -> list:
+    """ME classes of two or more among ``patterns`` (value tuples on the
+    window) as ascending index lists, [] once every class is a singleton.
+    The a^|free| joint extensions are budgeted before any work."""
+    group = ca.group
+    S = ca.memory_set
+    out_region = group.set_product(window, group.set_inverse(S))
+    reads = _reads(group, out_region, S)
+    at = {g: i for i, g in enumerate(window)}
+    a = len(ca.input_alphabet)
+    total = a ** len({h for cells in reads for h in cells if h not in at})
+    if total > max_candidates:
+        raise BudgetExceededError("ME extension enumeration", total, max_candidates)
+    places = [a**k for k in reversed(range(len(S)))]
+    classes = [list(range(len(patterns)))]
+    for cells in reads:
+        inside = [(at[h], w) for h, w in zip(cells, places) if h in at]
+        extensions = [0]
+        for w in (w for h, w in zip(cells, places) if h not in at):
+            extensions = [x + v * w for x in extensions for v in range(a)]
+        split: dict = {}
+        for c, members in enumerate(classes):
+            for p in members:
+                b = sum(patterns[p][i] * w for i, w in inside)
+                split.setdefault((c, tuple([ca.table[b + x] for x in extensions])), []).append(p)
+        classes = [m for m in split.values() if len(m) > 1]
+        if not classes:
+            return []
+    return classes
+
+
 def me_check(ca: CellularAutomaton, p1: Pattern, p2: Pattern,
              max_candidates: int = 1 << 20) -> bool:
     """Exact ME test on the full shift over Z^d.
@@ -157,57 +192,31 @@ def me_check(ca: CellularAutomaton, p1: Pattern, p2: Pattern,
     True iff every pair of configurations equal to p1/p2 on the common
     support and to each other elsewhere has equal images.  Outputs can only
     differ on window*S^-1 and those windows live inside window*S^-1*S, so
-    enumerating the joint extension there is sufficient.  (The classical
-    majority-vote ME pair is quoted on words 00000/00100; their support here
-    is the full five-cell interval.)
+    the extensions there suffice.  Each output cell and its own extensions
+    refine the class of the two, which stops once they are split.  (The
+    classical majority-vote ME pair is quoted on words 00000/00100; their
+    support here is the full five-cell interval.)
     """
     if p1.support != p2.support:
         raise ValueError("ME patterns need a common support")
-    group = ca.group
-    if not isinstance(group, Zd):
+    if not isinstance(ca.group, Zd):
         raise GroupMismatchError("me_check needs Z^d")
     if p1.values == p2.values:
         return True
-    window = p1.support
-    S = ca.memory_set
-    out_region = group.set_product(window, group.set_inverse(S))
-    in_region, offsets = _window_positions(group, out_region, S)
-    inside = set(window)
-    free_idx = [i for i, g in enumerate(in_region) if g not in inside]
-    a = len(ca.input_alphabet)
-    total = a ** len(free_idx)
-    if total > max_candidates:
-        raise BudgetExceededError("ME extension enumeration", total, max_candidates)
-    values1 = dict(zip(window, p1.values))
-    values2 = dict(zip(window, p2.values))
-    base1 = [values1.get(g, 0) for g in in_region]
-    base2 = [values2.get(g, 0) for g in in_region]
-    for fill in itertools.product(range(a), repeat=len(free_idx)):
-        for i, v in zip(free_idx, fill):
-            base1[i] = v
-            base2[i] = v
-        for offs in offsets:
-            w1 = values_to_index(a, [base1[k] for k in offs])
-            w2 = values_to_index(a, [base2[k] for k in offs])
-            if ca.table[w1] != ca.table[w2]:
-                return False
-    return True
+    return bool(_me_groups(ca, p1.support, [p1.values, p2.values], max_candidates))
 
 
 def _me_on(
     ca: CellularAutomaton, window: FiniteSubset, budget: SearchBudget
 ) -> Optional[Tuple[Pattern, Pattern]]:
-    """Least-index distinct pair on the window that me_check accepts, or None;
-    raises BudgetExceededError when the ME extensions are over budget.  That
-    budget depends on the window and the memory set only, so the first
-    over-budget pair decides the whole window."""
-    a = len(ca.input_alphabet)
-    n = len(window)
-    patterns = [Pattern(window, index_to_values(a, n, i)) for i in range(a**n)]
-    for p1, p2 in itertools.combinations(patterns, 2):
-        if me_check(ca, p1, p2, budget.max_candidates):
-            return p1, p2
-    return None
+    """Least-index distinct ME pair on the window, or None; may raise BudgetExceededError."""
+    patterns = list(itertools.product(range(len(ca.input_alphabet)), repeat=len(window)))
+    # a lone pattern has no pair, and then no budget applies
+    groups = _me_groups(ca, window, patterns, budget.max_candidates) if patterns[1:] else []
+    if not groups:
+        return None
+    i, j = min(c[:2] for c in groups)  # the least pair in combinations order
+    return Pattern(window, patterns[i]), Pattern(window, patterns[j])
 
 
 def find_me_pair(
@@ -219,8 +228,7 @@ def find_me_pair(
     if not isinstance(group, Zd):
         raise GroupMismatchError("finite-window search needs Z^d")
     a = len(ca.input_alphabet)
-    scanned = 0
-    skipped = 0
+    scanned = skipped = 0
     for window in window_schedule(group.d, budget):
         if a ** len(window) > budget.max_patterns_for_pairs:
             skipped += 1
@@ -250,9 +258,7 @@ def n0_bound(a: int, k: int, d: int, r: int, max_bits: int = 1 << 22) -> int:
     if a < 2 or k < 1 or d < 1 or r < 1:
         raise ValueError("need a >= 2 and k, d, r >= 1")
     lhs_base = a ** (k**d) - 1
-    n = 2 * r // k + 1
-    while n * k <= 2 * r:
-        n += 1
+    n = 2 * r // k + 1  # the least n with n k > 2 r
     while True:
         rhs_exp = (n * k - 2 * r) ** d
         lhs_exp = n**d
@@ -274,7 +280,7 @@ def holds_at(a: int, k: int, d: int, r: int, n: int) -> bool:
 # -- the combined semi-decision -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemiVerdict:
     status: str  # "not_surjective" | "not_preinjective" | "unknown"
     witness: Optional[object]
@@ -296,6 +302,11 @@ class SemiVerdict:
         return out
 
 
+# results share their windows, and equal unknown verdicts are one object
+_box = functools.lru_cache(maxsize=256)(lambda d, dims: Zd(d).box(dims))
+_unknown = functools.lru_cache(maxsize=64)(functools.partial(SemiVerdict, "unknown", None))
+
+
 def semi_decide(
     ca: CellularAutomaton, budget: SearchBudget = SearchBudget()
 ) -> SemiVerdict:
@@ -306,9 +317,7 @@ def semi_decide(
     if not isinstance(group, Zd):
         raise GroupMismatchError("semi_decide needs Z^d")
     a = len(ca.input_alphabet)
-    scanned = 0
-    for window in window_schedule(group.d, budget):
-        scanned += 1
+    for scanned, window in enumerate(window_schedule(group.d, budget), 1):
         try:
             goe = _goe_on(ca, window, budget)
         except BudgetExceededError:
@@ -323,10 +332,8 @@ def semi_decide(
             continue
         if pair is not None:
             return SemiVerdict("not_preinjective", pair, scanned, budget)
-    note = ""
-    if group.d == 1:
-        note = "exact decision available over Z via decide1d"
-    return SemiVerdict("unknown", None, scanned, budget, note)
+    note = "exact decision available over Z via decide1d" if group.d == 1 else ""
+    return _unknown(scanned, budget, note)
 
 
 # -- tilings ------------------------------------------------------------------------
@@ -348,15 +355,11 @@ def greedy_tiling(
     inside = set(window)
     covered: set = set()
     centers = []
-    for g in window:
-        translate = [group.mul(g, e) for e in E]
-        if all(t in inside for t in translate) and not any(
-            t in covered for t in translate
-        ):
+    for g, translate in zip(window, _reads(group, window, E)):
+        if inside.issuperset(translate) and covered.isdisjoint(translate):
             centers.append(g)
             covered.update(translate)
-    e_prime = group.set_product(E, group.set_inverse(E))
-    return tuple(centers), e_prime
+    return tuple(centers), group.set_product(E, group.set_inverse(E))
 
 
 def tiling_cover_certificate(
@@ -367,10 +370,6 @@ def tiling_cover_certificate(
     E = group.canon(E)
     window_set = set(window)
     e_prime = group.set_product(E, group.set_inverse(E))
-    covered = set()
-    for t in centers:
-        covered.update(group.mul(t, x) for x in e_prime)
-    for g in window:
-        if all(group.mul(g, e) in window_set for e in E) and g not in covered:
-            return False
-    return True
+    covered = set(itertools.chain.from_iterable(_reads(group, centers, e_prime)))
+    reads = zip(window, _reads(group, window, E))
+    return covered.issuperset(g for g, cells in reads if window_set.issuperset(cells))

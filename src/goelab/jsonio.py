@@ -19,7 +19,7 @@ Subshift files:
     {"kind": "sft", "group": ..., "alphabet": [...], "forbidden": [pattern...]}
     {"kind": "sofic", "alphabet": [...], "vertices": n, "edges": [[u, v, "sym"]...]}
 or  {"builtin": "golden_mean" | "even_shift" | "hard_ball:d" | "ledrappier"
-               | "full_shift:a"}
+               | "full_shift:a"}           # d, a at most BUILTIN_SIZE_LIMIT
 
 A pattern is {"support": [element...], "values": ["sym"...]}, over Z also
 {"word": "11", "offset": 0}.
@@ -54,6 +54,10 @@ from .subshift import (
 )
 
 SCHEMA_VERSION = "1"
+
+# hard_ball:d and full_shift:a are built before any budget applies, in time and
+# memory that grow with d^2 and a, so the size is bounded where it is parsed
+BUILTIN_SIZE_LIMIT = 256
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
@@ -267,9 +271,12 @@ def subshift_from_json(obj) -> object:
         if colon and head in ("hard_ball", "full_shift"):
             if not (size.isascii() and size.isdigit()):
                 raise ValueError(f"builtin subshift {name!r} must end in a plain decimal number")
-            if head == "hard_ball":
-                return hard_ball(int(size))
-            return full_shift(Alphabet.of_size(int(size)))
+            digits = size.lstrip("0") or "0"
+            # the length test keeps int() off strings of thousands of digits
+            if len(digits) > len(str(BUILTIN_SIZE_LIMIT)) or int(digits) > BUILTIN_SIZE_LIMIT:
+                raise ValueError(f"builtin {head} size is over the limit of {BUILTIN_SIZE_LIMIT}")
+            n = int(digits)
+            return hard_ball(n) if head == "hard_ball" else full_shift(Alphabet.of_size(n))
         raise ValueError(f"unknown builtin subshift {name!r}")
     kind = obj.get("kind", "sofic" if "edges" in obj else "sft")
     if kind == "sofic":

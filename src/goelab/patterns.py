@@ -65,7 +65,7 @@ def parse_word(alphabet: Alphabet, value) -> Tuple[int, ...]:
     return tuple(alphabet.index(ch) for ch in value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """A map support -> symbol indices, values aligned with the support order."""
 

@@ -268,6 +268,10 @@ def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
         ({"builtin": "hard_ball:2_0"}, "must end in a plain decimal number"),
         ({"builtin": "full_shift:\u0662"}, "must end in a plain decimal number"),
         ({"builtin": "hard_ball:"}, "must end in a plain decimal number"),
+        ({"builtin": "full_shift:2000000"}, "over the limit of 256"),
+        ({"builtin": "hard_ball:1500"}, "over the limit of 256"),
+        ({"builtin": "hard_ball:257"}, "over the limit of 256"),
+        ({"builtin": "full_shift:" + "9" * 5000}, "over the limit of 256"),
     ],
 )
 def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, message):

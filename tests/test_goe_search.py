@@ -23,7 +23,14 @@ from goelab.goe_search import (
     window_schedule,
 )
 from goelab.groups import Zd
-from goelab.patterns import BINARY, Pattern, word_to_pattern
+from goelab.patterns import (
+    BINARY,
+    Alphabet,
+    Pattern,
+    index_to_values,
+    values_to_index,
+    word_to_pattern,
+)
 
 Z = Zd(1)
 Z2 = Zd(2)
@@ -367,20 +374,175 @@ def test_pinned_search_digests(family, search):
 
 
 def test_semi_decide_gives_up_a_window_at_its_first_over_budget_me_check(monkeypatch):
-    real = goe_search.me_check
+    # the ME kernel runs once per window; an over-budget window must not retry it
+    real = goe_search._me_groups
     over = collections.Counter()
 
-    def counting(ca, p1, p2, max_candidates):
+    def counting(ca, window, patterns, max_candidates):
         try:
-            return real(ca, p1, p2, max_candidates)
+            return real(ca, window, patterns, max_candidates)
         except BudgetExceededError:
-            over[p1.support] += 1
+            over[window] += 1
             raise
 
-    monkeypatch.setattr(goe_search, "me_check", counting)
+    monkeypatch.setattr(goe_search, "_me_groups", counting)
     rng = random.Random(5)
     for cells in (4, 5):
         over.clear()
         verdict = semi_decide(z2_rule(rng, cells, "permutive"), Z2_BUDGET)
         assert verdict.status == "unknown"
         assert over and max(over.values()) == 1
+
+
+# -- the window kernels against the pairwise scans they replaced ------------------------
+#
+# Test-local copies of the enumeration that every candidate and every pair used to
+# pay for: image sets over itertools.product with values_to_index per cell, and
+# me_check run pair by pair in itertools.combinations order.
+
+
+def reference_image_pattern_set(ca, window, max_candidates=1 << 16):
+    group = ca.group
+    window = group.canon(window)
+    a = len(ca.input_alphabet)
+    inputs = group.set_product(window, ca.memory_set)
+    pos = {g: i for i, g in enumerate(inputs)}
+    offsets = [[pos[group.mul(g, s)] for s in ca.memory_set] for g in window]
+    total = a ** len(inputs)
+    if total > max_candidates:
+        raise BudgetExceededError("image enumeration", total, max_candidates)
+    return {
+        tuple(ca.table[values_to_index(a, [x[k] for k in offs])] for offs in offsets)
+        for x in itertools.product(range(a), repeat=len(inputs))
+    }
+
+
+def reference_me_check(ca, p1, p2, max_candidates=1 << 20):
+    if p1.support != p2.support:
+        raise ValueError("ME patterns need a common support")
+    if p1.values == p2.values:
+        return True
+    group = ca.group
+    window = p1.support
+    S = ca.memory_set
+    out_region = group.set_product(window, group.set_inverse(S))
+    in_region = group.set_product(out_region, S)
+    pos = {g: i for i, g in enumerate(in_region)}
+    offsets = [[pos[group.mul(g, s)] for s in S] for g in out_region]
+    inside = set(window)
+    free_idx = [i for i, g in enumerate(in_region) if g not in inside]
+    a = len(ca.input_alphabet)
+    total = a ** len(free_idx)
+    if total > max_candidates:
+        raise BudgetExceededError("ME extension enumeration", total, max_candidates)
+    values1 = dict(zip(window, p1.values))
+    values2 = dict(zip(window, p2.values))
+    base1 = [values1.get(g, 0) for g in in_region]
+    base2 = [values2.get(g, 0) for g in in_region]
+    for fill in itertools.product(range(a), repeat=len(free_idx)):
+        for i, v in zip(free_idx, fill):
+            base1[i] = base2[i] = v
+        for offs in offsets:
+            w1 = values_to_index(a, [base1[k] for k in offs])
+            w2 = values_to_index(a, [base2[k] for k in offs])
+            if ca.table[w1] != ca.table[w2]:
+                return False
+    return True
+
+
+def reference_goe_on(ca, window, budget):
+    images = reference_image_pattern_set(ca, window, budget.max_candidates)
+    b = len(ca.output_alphabet)
+    total = b ** len(window)
+    if len(images) == total:
+        return None
+    indices = {values_to_index(b, img) for img in images}
+    k = next(k for k in range(total) if k not in indices)
+    return Pattern(window, index_to_values(b, len(window), k))
+
+
+def reference_me_on(ca, window, budget):
+    a = len(ca.input_alphabet)
+    n = len(window)
+    patterns = [Pattern(window, index_to_values(a, n, i)) for i in range(a**n)]
+    for p1, p2 in itertools.combinations(patterns, 2):
+        if reference_me_check(ca, p1, p2, budget.max_candidates):
+            return p1, p2
+    return None
+
+
+def random_kernel_rule(rng, d, a):
+    """A rule on 1-4 cells of the cube {-1,0,1}^d with a table biased to one symbol."""
+    group = Zd(d)
+    cube = list(itertools.product((-1, 0, 1), repeat=d))
+    S = group.canon(rng.sample(cube, rng.randint(1, min(4, 3**d))))
+    alphabet = Alphabet.of_size(a)
+    common, bias = rng.randrange(a), rng.choice((0.0, 0.5, 0.8, 0.95))
+    table = tuple(
+        common if rng.random() < bias else rng.randrange(a) for _ in range(a ** len(S))
+    )
+    return CellularAutomaton(group, alphabet, alphabet, S, table)
+
+
+def kernel_rules():
+    rng = random.Random(10)
+    return [random_kernel_rule(rng, d, a) for d in (1, 2, 3) for a in (1, 2, 3) for _ in range(8)]
+
+
+KERNEL_BUDGET = SearchBudget(max_window_cells=4, max_candidates=1 << 8, max_patterns_for_pairs=16)
+
+
+def test_window_kernels_match_the_pairwise_scans(monkeypatch):
+    cas = kernel_rules()
+    for search in (find_goe_pattern, find_me_pair, semi_decide):
+        got = [repr(search(ca, KERNEL_BUDGET)) for ca in cas]
+        with monkeypatch.context() as m:
+            m.setattr(goe_search, "_goe_on", reference_goe_on)
+            m.setattr(goe_search, "_me_on", reference_me_on)
+            want = [repr(search(ca, KERNEL_BUDGET)) for ca in cas]
+        assert got == want, search.__name__
+
+
+def test_image_pattern_set_matches_the_product_enumeration():
+    for ca in kernel_rules():
+        for window in window_schedule(ca.group.d, KERNEL_BUDGET):
+            try:
+                want = reference_image_pattern_set(ca, window, KERNEL_BUDGET.max_candidates)
+            except BudgetExceededError as err:
+                with pytest.raises(BudgetExceededError) as got:
+                    image_pattern_set(ca, window, KERNEL_BUDGET.max_candidates)
+                assert (got.value.what, got.value.requested) == (err.what, err.requested)
+                continue
+            assert image_pattern_set(ca, window, KERNEL_BUDGET.max_candidates) == want
+    assert image_pattern_set(wolfram_rule(110), ()) == reference_image_pattern_set(wolfram_rule(110), ())
+
+
+def result_or_budget(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as err:
+        return err.what, err.requested
+
+
+def test_me_check_matches_the_pairwise_enumeration():
+    rng = random.Random(11)
+    for ca in kernel_rules():
+        a = len(ca.input_alphabet)
+        cube = list(itertools.product(range(-1, 2), repeat=ca.group.d))
+        for _ in range(4):
+            support = tuple(rng.sample(cube, rng.randint(1, 3)))  # any order
+            p1 = Pattern(support, tuple(rng.randrange(a) for _ in support))
+            values = p1.values if rng.random() < 0.2 else tuple(rng.randrange(a) for _ in support)
+            p2 = Pattern(support, values)
+            budget = rng.choice((1, 1 << 6, 1 << 10))
+            want = result_or_budget(reference_me_check, ca, p1, p2, budget)
+            assert result_or_budget(me_check, ca, p1, p2, budget) == want
+
+
+def test_find_me_pair_on_a_one_symbol_alphabet_is_none():
+    # each window has one pattern and so no pair, whatever the memory set
+    one = Alphabet.of_size(1)
+    budget = SearchBudget(max_window_cells=4, max_candidates=1)
+    for S in (Z2.canon([(0, 0), (1, 0), (0, 1)]), ()):
+        outcome = find_me_pair(CellularAutomaton(Z2, one, one, S, (0,)), budget)
+        assert (outcome.found, outcome.windows_scanned, outcome.skipped_windows) == (None, 8, 0)
