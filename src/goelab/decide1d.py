@@ -140,7 +140,7 @@ def image_presentation(
 # -- verdicts ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     answer: bool
     witness: Optional[dict] = None
@@ -152,14 +152,26 @@ class Verdict:
         return out
 
 
+_TRUE = Verdict(True)  # every positive answer without a witness or detail
+
+
 # -- surjectivity ---------------------------------------------------------------
 
 
 def decide_surjective(
     ca: CellularAutomaton, X=None, Y=None, budget: int = DEFAULT_PAIR_BUDGET
 ) -> Verdict:
-    """True iff tau(X) = Y; on False the witness is the shortest word of Y's
-    language missing from the image language (a Garden of Eden word)."""
+    """True iff tau(X) = Y; on False the witness is the shortest, then least,
+    word of Y's language missing from the image language (a Garden of Eden
+    word).
+
+    ``sofic_compare`` builds the image's subset automaton only as far as its
+    product search with Y reaches.  When Y is the full shift on the output
+    alphabet (the default), no image word can be missing from Y, so the
+    search stops at the first Garden of Eden word; a surjective rule still
+    needs every subset reachable in the image.  ``budget`` bounds the lift
+    and, per side, the subsets built.
+    """
     image = image_presentation(ca, X, budget)
     codomain = presentation_of(Y) if Y is not None else full_shift(ca.output_alphabet)
     equal, only_img, only_cod = sofic_compare(image, codomain, budget)
@@ -168,7 +180,7 @@ def decide_surjective(
             f"image is not contained in the codomain (extra word {only_img!r})"
         )
     if equal:
-        return Verdict(True)
+        return _TRUE
     return Verdict(False, {"type": "goe_word", "word": only_cod})
 
 
@@ -347,7 +359,7 @@ def decide_preinjective(
     to_right = _reach(pg, right_inf, forward=False)
     found = _first_diff_edge(pg, _reach(pg, left_inf & to_right, within=to_right), to_right)
     if found is None:
-        return Verdict(True)
+        return _TRUE
     src, a1, a2, tgt = found
 
     # Witness: ... (left cycle)^inf stem bridge [a1|a2] bridge stem (right cycle)^inf
@@ -449,7 +461,7 @@ def decide_injective(
     alive = set(itertools.compress(range(total), _live(total, first, heads)))
     found = _first_diff_edge(pg, alive, alive)
     if found is None:
-        return Verdict(True)
+        return _TRUE
     src, a1, a2, tgt = found
     lcycle, lstem = _walk_to_cycle(pg, src, alive, sync_only=False, forward=False)
     rcycle, rstem = _walk_to_cycle(pg, tgt, alive, sync_only=False, forward=True)

@@ -22,10 +22,13 @@ from .patterns import Alphabet
 from .subshift import (
     SFTPresentation,
     SoficPresentation1D,
+    _word_counts,
     determinize,
+    full_shift,
     language_count,
     locally_admissible_count,
     presentation_of,
+    subset_automaton,
 )
 
 
@@ -168,12 +171,13 @@ def _spectral_radius(rows: List[List[Tuple[int, int]]], tol: float) -> float:
 def perron_entropy(X, tol: float = 1e-9) -> float:
     """log of the spectral radius of the determinized, trimmed presentation.
 
-    On a non-strongly-connected graph the value is the maximum over the
-    strongly connected components.  Returns -inf for an empty language.
-    The iteration runs over sparse rows, O(edges) per step and O(edges)
-    memory, never over an n x n matrix.
+    ``X`` is a 1D subshift presentation or its ``SubsetAutomaton``, which is
+    then not built again.  On a non-strongly-connected graph the value is
+    the maximum over the strongly connected components.  Returns -inf for an
+    empty language.  The iteration runs over sparse rows, O(edges) per step
+    and O(edges) memory, never over an n x n matrix.
     """
-    pres = determinize(presentation_of(X))
+    pres = determinize(X)
     n = pres.num_vertices
     if n == 0:
         return float("-inf")
@@ -224,26 +228,34 @@ def image_entropy_check(
     ca: CellularAutomaton, X=None, ns: Sequence[int] = range(1, 11)
 ) -> ImageEntropyReport:
     """Verify |tau(X)_{F_n}| <= |X_{F_n S}| for each n and compare the exact
-    Perron values of image and domain (Z only)."""
-    ca = normalize_interval(ca)
-    from .subshift import full_shift
+    Perron values of image and domain (Z only).
 
+    Each subset automaton is built once: one transfer over it counts the
+    words of every length needed, and the Perron iteration reads it too.
+    """
+    ca = normalize_interval(ca)
     domain = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
     image = image_presentation(ca, domain)
     w = len(ca.memory_set)
+    ns = list(ns)
+    if any(n + 1 < 0 for n in ns):
+        raise ValueError("length must be >= 0")
+    image_auto, domain_auto = subset_automaton(image), subset_automaton(domain)
+    longest = max(ns, default=0)
+    image_counts = _word_counts(image_auto, longest + 1)
+    domain_counts = _word_counts(domain_auto, longest + w)  # F_n S is an interval of n+w cells
     rows = []
     violations = 0
     for n in ns:
-        img_count = language_count(image, n + 1)
-        dom_count = language_count(domain, n + w)  # F_n S is an interval of n+w cells
+        img_count, dom_count = image_counts[n + 1], domain_counts[n + w]
         rows.append((n, img_count, dom_count))
         if img_count > dom_count:
             violations += 1
     return ImageEntropyReport(
         tuple(rows),
         violations,
-        perron_entropy(domain),
-        perron_entropy(image),
+        perron_entropy(domain_auto),
+        perron_entropy(image_auto),
     )
 
 

@@ -8,6 +8,14 @@ of the subshift's language.  The compiler checks its budget on the a^(m-1)
 higher-block vertices before any word is enumerated, and matches gapped
 forbidden patterns in place, their gaps as wildcards.
 
+Subset construction works on vertex sets held as int bitmasks, through one
+step routine shared by ``subset_automaton``, ``word_appears`` and
+``sofic_compare``.  ``subset_automaton`` builds the whole automaton in BFS
+discovery order, which the Perron values depend on.  ``sofic_compare`` builds
+both automata lazily inside its product BFS and stops once both witnesses
+are settled, so a comparison with a full shift stops at the first missing
+word; its budget counts the subsets it actually built on each side.
+
 Membership for Z^d SFTs with d >= 2 is exposed only as local admissibility
 on finite windows (no global-extension claims).  Window counts are exact: a
 binary SFT whose forbidden patterns are the odd-sum assignments on their
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, UnsupportedGroupError
 from .groups import Element, FiniteSubset, Group, Zd
@@ -237,16 +245,76 @@ def presentation_of(X, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1
 # -- determinization and language operations ----------------------------------
 
 
+def _union(rows: Sequence[int], mask: int) -> int:
+    """The bitwise union of ``rows[q]`` over the set bits ``q`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _subset_step(pres: SoficPresentation1D) -> Callable[[int], Tuple[int, ...]]:
+    """The step of the subset construction, on vertex sets as int bitmasks.
+
+    Returns ``successors``: ``successors(mask)[s]`` is the set of vertices
+    that an edge labeled ``s`` reaches from a vertex of ``mask``, 0 where
+    there is none.  The targets of a vertex for every symbol are packed in
+    one integer, symbol ``s`` at bits ``s*n`` to ``s*n + n - 1``.  A mask is
+    read one byte at a time, and the union of the packed rows of each byte
+    value is computed the first time that value is met at that byte.  The
+    first 256 answers are kept, which is every answer for a graph of at
+    most 8 vertices, such as a full shift.
+    """
+    n, a = pres.num_vertices, len(pres.alphabet)
+    rows = [0] * n
+    for u, v, sym in pres.edges:
+        rows[u] |= 1 << (sym * n + v)
+    size = (n + 7) // 8
+    chunks = [rows[i : i + 8] for i in range(0, n, 8)]
+    unions: List[List[Optional[int]]] = [[None] * (1 << len(chunk)) for chunk in chunks]
+    full = (1 << n) - 1
+    shifts = [sym * n for sym in range(a)]
+    known: Dict[int, Tuple[int, ...]] = {}
+
+    def successors(mask: int) -> Tuple[int, ...]:
+        out = known.get(mask)
+        if out is None:
+            packed = 0
+            for table, chunk, byte in zip(unions, chunks, mask.to_bytes(size, "little")):
+                if byte:
+                    union = table[byte]
+                    if union is None:
+                        union = table[byte] = _union(chunk, byte)
+                    packed |= union
+            out = tuple([packed >> shift & full for shift in shifts])
+            if len(known) < 256:
+                known[mask] = out
+        return out
+
+    return successors
+
+
+def _check_budget(built: int, budget: int) -> None:
+    """Refuse to build one more subset state when ``built`` exist."""
+    if built >= budget:
+        raise BudgetExceededError("determinization states", built + 1, budget)
+
+
 class SubsetAutomaton:
     """Deterministic automaton for the language, start = set of all vertices.
 
-    Words of the language correspond bijectively to paths from the start
-    state, which is what counting and comparison need.
+    ``states`` holds the vertex sets as int bitmasks (bit q for vertex q) in
+    BFS discovery order from the start, and ``transitions[i]`` maps each
+    symbol readable from state i to the index of its target.  Words of the
+    language correspond bijectively to paths from the start state, which is
+    what counting and comparison need.
     """
 
     def __init__(self, states, transitions, alphabet):
-        self.states = states  # tuple of sorted vertex tuples
-        self.transitions = transitions  # list of dict sym -> state index
+        self.states = states
+        self.transitions = transitions
         self.alphabet = alphabet
 
     @property
@@ -258,40 +326,23 @@ def subset_automaton(
     pres: SoficPresentation1D, budget: int = DEFAULT_STATE_BUDGET
 ) -> SubsetAutomaton:
     pres = trim(pres)
-    if pres.num_vertices == 0:
-        return SubsetAutomaton(((),), [{}], pres.alphabet)
-    step = [dict() for _ in range(pres.num_vertices)]
-    for u, v, sym in pres.edges:
-        step[u].setdefault(sym, set()).add(v)
-    start = tuple(range(pres.num_vertices))
-    states = {start: 0}
-    order = [start]
+    successors = _subset_step(pres)
+    start = (1 << pres.num_vertices) - 1
+    index = {start: 0}
+    states = [start]
     transitions = []
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            trans = {}
-            for sym in range(len(pres.alphabet)):
-                target = set()
-                for q in state:
-                    target |= step[q].get(sym, set())
-                if not target:
-                    continue
-                key = tuple(sorted(target))
-                if key not in states:
-                    if len(states) >= budget:
-                        raise BudgetExceededError(
-                            "determinization states", len(states) + 1, budget
-                        )
-                    states[key] = len(order)
-                    order.append(key)
-                    nxt.append(key)
-                trans[sym] = states[key]
-            transitions.append(trans)
-        frontier = nxt
-    # transitions were appended in BFS order of discovery, matching `order`
-    return SubsetAutomaton(tuple(order), transitions, pres.alphabet)
+    for mask in states:  # the list grows while it is read: BFS discovery order
+        trans = {}
+        for sym, target in enumerate(successors(mask)):
+            if not target:
+                continue
+            if target not in index:
+                _check_budget(len(states), budget)
+                index[target] = len(states)
+                states.append(target)
+            trans[sym] = index[target]
+        transitions.append(trans)
+    return SubsetAutomaton(tuple(states), transitions, pres.alphabet)
 
 
 def word_appears(X, word, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -299,38 +350,47 @@ def word_appears(X, word, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     pres = presentation_of(X, budget)
     if not isinstance(word, tuple) or any(not isinstance(s, int) for s in word):
         word = parse_word(pres.alphabet, word)
-    step = [dict() for _ in range(pres.num_vertices)]
-    for u, v, sym in pres.edges:
-        step[u].setdefault(sym, set()).add(v)
-    current = set(range(pres.num_vertices))
+    if word and not 0 <= min(word) <= max(word) < len(pres.alphabet):
+        return False  # no edge reads a symbol outside the alphabet
+    successors = _subset_step(pres)
+    current = (1 << pres.num_vertices) - 1
     for sym in word:
-        nxt = set()
-        for q in current:
-            nxt |= step[q].get(sym, set())
-        if not nxt:
+        current = successors(current)[sym]
+        if not current:
             return False
-        current = nxt
     return True
+
+
+def _word_counts(auto: SubsetAutomaton, longest: int) -> List[int]:
+    """Numbers of words of each length 0..``longest``, by one transfer over
+    the paths of the automaton from its start."""
+    counts = {auto.start: 1}
+    totals = [1]
+    for _ in range(longest):
+        nxt: Dict[int, int] = {}
+        for state, c in counts.items():
+            for target in auto.transitions[state].values():
+                nxt[target] = nxt.get(target, 0) + c
+        counts = nxt
+        totals.append(sum(counts.values()))
+    return totals
 
 
 def language_count(X, n: int, budget: int = DEFAULT_STATE_BUDGET) -> int:
     """Number of admissible words of length n, by transfer over the subset DFA."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    auto = subset_automaton(presentation_of(X, budget), budget)
-    counts = {auto.start: 1}
-    for _ in range(n):
-        nxt: Dict[int, int] = {}
-        for state, c in counts.items():
-            for sym, target in auto.transitions[state].items():
-                nxt[target] = nxt.get(target, 0) + c
-        counts = nxt
-    return sum(counts.values())
+    return _word_counts(subset_automaton(presentation_of(X, budget), budget), n)[n]
 
 
 def determinize(X, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1D:
-    """A deterministic (right-resolving) presentation of the same language."""
-    auto = subset_automaton(presentation_of(X, budget), budget)
+    """A deterministic (right-resolving) presentation of the same language:
+    the trimmed subset automaton.  ``X`` may also be a ``SubsetAutomaton``
+    already built, which is then used as it is."""
+    if isinstance(X, SubsetAutomaton):
+        auto = X
+    else:
+        auto = subset_automaton(presentation_of(X, budget), budget)
     edges = []
     for i, trans in enumerate(auto.transitions):
         for sym, j in sorted(trans.items()):
@@ -346,51 +406,73 @@ def _merge_symbols(A: Alphabet, B: Alphabet) -> Tuple[Alphabet, Dict[int, int], 
     return merged, mapA, mapB
 
 
+def _reads_every_word(successors, start: int) -> bool:
+    """Every symbol maps the start subset to itself, so every word over the
+    alphabet is read from it (and the language is the full shift)."""
+    return start != 0 and all(target == start for target in successors(start))
+
+
+def _missing_words(succX, startX: int, succY, startY: int, budget: int):
+    """Product BFS of two subset automata, each built only as far as its
+    subsets are reached.  Yields (0, word) for a word that X reads and Y does
+    not, and (1, word) for the converse, both at the first product state and
+    symbol that reads them: shortest first, then least.  A subset counts
+    against ``budget``, per side, when it is first reached."""
+    builtX, builtY = {startX}, {startY}
+    seen = {(startX, startY)}
+    frontier = [(startX, startY, ())]
+    while frontier:
+        nxt = []
+        for mx, my, word in frontier:
+            for sym, (tx, ty) in enumerate(zip(succX(mx), succY(my))):
+                if tx and ty:
+                    if (tx, ty) in seen:
+                        continue
+                    seen.add((tx, ty))
+                    if tx not in builtX:
+                        _check_budget(len(builtX), budget)
+                        builtX.add(tx)
+                    if ty not in builtY:
+                        _check_budget(len(builtY), budget)
+                        builtY.add(ty)
+                    nxt.append((tx, ty, word + (sym,)))
+                elif tx or ty:
+                    yield (0 if tx else 1), word + (sym,)
+        frontier = nxt
+
+
 def sofic_compare(X, Y, budget: int = DEFAULT_STATE_BUDGET):
     """Language comparison of two 1D subshifts.
 
     Returns (equal, only_in_X, only_in_Y) where the witnesses are the
     shortest (then lexicographically least) words in one language and not
     the other, as strings, or None.
-    """
-    autoX = subset_automaton(presentation_of(X, budget), budget)
-    autoY = subset_automaton(presentation_of(Y, budget), budget)
-    merged, mapX, mapY = _merge_symbols(autoX.alphabet, autoY.alphabet)
-    transX = [{mapX[s]: t for s, t in d.items()} for d in autoX.transitions]
-    transY = [{mapY[s]: t for s, t in d.items()} for d in autoY.transitions]
 
-    start = (autoX.start, autoY.start)
-    seen = {start}
-    frontier = [(start, ())]
-    only_x = None
-    only_y = None
-    while frontier and (only_x is None or only_y is None):
-        nxt = []
-        for (sx, sy), word in frontier:
-            for sym in range(len(merged)):
-                tx = transX[sx].get(sym)
-                ty = transY[sy].get(sym)
-                if tx is None and ty is None:
-                    continue
-                w = word + (sym,)
-                if tx is None and only_y is None:
-                    only_y = w
-                    continue
-                if ty is None and only_x is None:
-                    only_x = w
-                    continue
-                if tx is None or ty is None:
-                    continue
-                state = (tx, ty)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append((state, w))
-        frontier = nxt
-    return (
-        (only_x is None and only_y is None),
-        None if only_x is None else render_word(merged, only_x),
-        None if only_y is None else render_word(merged, only_y),
+    Both subset automata are built lazily, inside one product BFS over the
+    merged alphabet, and the search stops once both witnesses are settled.
+    A witness is settled as None at once when the other side's start subset
+    is fixed by every symbol of the merged alphabet: that side then reads
+    every word.  So a comparison with a full shift on a large enough
+    alphabet stops at the first word missing from the other side.  The
+    budget bounds the subsets built on each side.
+    """
+    presX, presY = presentation_of(X, budget), presentation_of(Y, budget)
+    merged, mapX, mapY = _merge_symbols(presX.alphabet, presY.alphabet)
+    succX, succY = (  # both graphs relabeled into the merged alphabet
+        _subset_step(SoficPresentation1D(merged, p.num_vertices, tuple((u, v, m[s]) for u, v, s in p.edges)))
+        for p, m in ((presX, mapX), (presY, mapY))
     )
+    startX, startY = (1 << presX.num_vertices) - 1, (1 << presY.num_vertices) - 1
+    only: List[Optional[Tuple[int, ...]]] = [None, None]
+    settled = [_reads_every_word(succY, startY), _reads_every_word(succX, startX)]
+    if not all(settled):
+        for side, word in _missing_words(succX, startX, succY, startY, budget):
+            if not settled[side]:
+                only[side], settled[side] = word, True
+                if all(settled):
+                    break
+    only_x, only_y = (None if w is None else render_word(merged, w) for w in only)
+    return only_x is None and only_y is None, only_x, only_y
 
 
 def sofic_equal(X, Y, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -409,24 +491,12 @@ def _reach_masks(pres: SoficPresentation1D) -> List[int]:
         adj[u] |= 1 << v
     masks = []
     for v in range(n):
-        seen = 1 << v
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                new = adj[q] & ~seen
-                seen |= adj[q]
-                while new:
-                    bit = new & -new
-                    nxt.append(bit.bit_length() - 1)
-                    new ^= bit
-            frontier = nxt
+        seen = new = 1 << v
+        while new:
+            new = _union(adj, new) & ~seen
+            seen |= new
         masks.append(seen)
     return masks
-
-
-def _subset_states(pres: SoficPresentation1D, budget: int) -> List[Tuple[int, ...]]:
-    return list(subset_automaton(pres, budget).states)
 
 
 def irreducible(X, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -441,16 +511,13 @@ def irreducible(X, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     if pres.num_vertices == 0:
         return True
     reach = _reach_masks(pres)
-    fwd = _subset_states(pres, budget)
+    fwd = subset_automaton(pres, budget).states
     reversed_pres = SoficPresentation1D(
         pres.alphabet, pres.num_vertices, tuple((v, u, s) for (u, v, s) in pres.edges)
     )
-    bwd = _subset_states(reversed_pres, budget)
-    starts = [sum(1 << q for q in state) for state in bwd]
+    starts = subset_automaton(reversed_pres, budget).states
     for end_state in fwd:
-        reachable = 0
-        for q in end_state:
-            reachable |= reach[q]
+        reachable = _union(reach, end_state)
         if any(reachable & mask == 0 for mask in starts):
             return False
     return True
@@ -476,16 +543,7 @@ def mixing_gap(X, budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
     for k in range(1, wielandt + 1):
         if all(r == full for r in power):
             return k
-        nxt = []
-        for u in range(n):
-            acc = 0
-            bits = power[u]
-            while bits:
-                bit = bits & -bits
-                acc |= rows[bit.bit_length() - 1]
-                bits ^= bit
-            nxt.append(acc)
-        power = nxt
+        power = [_union(rows, row) for row in power]
     return None
 
 

@@ -1,11 +1,13 @@
-"""Shared worked-example automata used across test modules."""
+"""Shared worked-example automata, and reference implementations, used across
+test modules."""
 
 import pytest
 
 from goelab.automaton import CellularAutomaton
+from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
-from goelab.patterns import Alphabet, BINARY, word_to_pattern
-from goelab.subshift import SFTPresentation
+from goelab.patterns import Alphabet, BINARY, render_word, word_to_pattern
+from goelab.subshift import SFTPresentation, _merge_symbols, presentation_of, trim
 
 Z = Zd(1)
 A3 = Alphabet.of_size(3)
@@ -64,3 +66,80 @@ def fiorenzi_even_ca():
 @pytest.fixture
 def fiorenzi_ternary():
     return make_fiorenzi_ternary_ca(), make_fiorenzi_ternary_sft()
+
+
+# -- the eager language comparison, kept as the reference for the lazy one ------
+
+
+def _eager_subset_transitions(pres, budget):
+    """The whole subset automaton of a presentation, states as sorted vertex
+    tuples in BFS order; returns its transitions, sym -> state index."""
+    pres = trim(pres)
+    if pres.num_vertices == 0:
+        return [{}]
+    step = [dict() for _ in range(pres.num_vertices)]
+    for u, v, sym in pres.edges:
+        step[u].setdefault(sym, set()).add(v)
+    start = tuple(range(pres.num_vertices))
+    states = {start: 0}
+    transitions = []
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            trans = {}
+            for sym in range(len(pres.alphabet)):
+                target = set()
+                for q in state:
+                    target |= step[q].get(sym, set())
+                if not target:
+                    continue
+                key = tuple(sorted(target))
+                if key not in states:
+                    if len(states) >= budget:
+                        raise BudgetExceededError("determinization states", len(states) + 1, budget)
+                    states[key] = len(states)
+                    nxt.append(key)
+                trans[sym] = states[key]
+            transitions.append(trans)
+        frontier = nxt
+    return transitions
+
+
+def eager_sofic_compare(X, Y, budget=1 << 17):
+    """Both subset automata built in full, then a product BFS that runs until
+    both witnesses are found or the product is exhausted."""
+    presX, presY = presentation_of(X, budget), presentation_of(Y, budget)
+    transX = _eager_subset_transitions(presX, budget)
+    transY = _eager_subset_transitions(presY, budget)
+    merged, mapX, mapY = _merge_symbols(presX.alphabet, presY.alphabet)
+    transX = [{mapX[s]: t for s, t in d.items()} for d in transX]
+    transY = [{mapY[s]: t for s, t in d.items()} for d in transY]
+    seen = {(0, 0)}
+    frontier = [((0, 0), ())]
+    only_x = only_y = None
+    while frontier and (only_x is None or only_y is None):
+        nxt = []
+        for (sx, sy), word in frontier:
+            for sym in range(len(merged)):
+                tx, ty = transX[sx].get(sym), transY[sy].get(sym)
+                if tx is None and ty is None:
+                    continue
+                w = word + (sym,)
+                if tx is None and only_y is None:
+                    only_y = w
+                    continue
+                if ty is None and only_x is None:
+                    only_x = w
+                    continue
+                if tx is None or ty is None:
+                    continue
+                if (tx, ty) not in seen:
+                    seen.add((tx, ty))
+                    nxt.append(((tx, ty), w))
+        frontier = nxt
+    return (
+        only_x is None and only_y is None,
+        None if only_x is None else render_word(merged, only_x),
+        None if only_y is None else render_word(merged, only_y),
+    )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import make_fiorenzi_even_ca, make_golden_even_ca
+from conftest import eager_sofic_compare, make_fiorenzi_even_ca, make_golden_even_ca
 from goelab import decide1d
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
 from goelab.decide1d import (
@@ -23,12 +23,13 @@ from goelab.decide1d import (
 )
 from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
-from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
+from goelab.patterns import Alphabet, BINARY, Pattern, render_word, word_to_pattern
 from goelab.subshift import (
     even_shift,
     full_shift,
     golden_mean,
     presentation_of,
+    sofic_compare,
     sofic_equal,
     word_appears,
 )
@@ -291,6 +292,121 @@ def test_decide_surjective_agrees_with_brute_force():
                 assert brute
             assert count_preimages(ca, word) == 0  # witness is sound regardless
 
+
+
+def _least_goe_word(ca, longest):
+    """The shortest, then least, output word with no preimage, or None if
+    every word of length <= ``longest`` has one.  The images of all input
+    words are enumerated length by length; inputs with the same image and
+    the same last W - 1 symbols extend alike, so each is kept once."""
+    ca = normalize_interval(ca)
+    w, a, b = len(ca.memory_set), len(ca.input_alphabet), len(ca.output_alphabet)
+    ends = {((), tail) for tail in itertools.product(range(a), repeat=w - 1)}
+    for length in range(1, longest + 1):
+        ends = {
+            (image + (ca.local_rule(tail + (x,)),), (tail + (x,))[1:])
+            for image, tail in ends
+            for x in range(a)
+        }
+        images = {image for image, _ in ends}
+        if len(images) < b**length:
+            missing = set(itertools.product(range(b), repeat=length)) - images
+            return render_word(ca.output_alphabet, min(missing))
+    return None
+
+
+def test_goe_word_is_the_least_shortest_word_without_preimage():
+    # every binary rule of width <= 3, then seeded binary width-4 and ternary
+    # width-2 rules; a surjective verdict is checked to length 8
+    rules = [interval_ca(2, w, t) for w in (1, 2, 3) for t in itertools.product((0, 1), repeat=2**w)]
+    rng = random.Random(41)
+    rules += [interval_ca(2, 4, [rng.randrange(2) for _ in range(16)]) for _ in range(40)]
+    rules += [interval_ca(3, 2, [rng.randrange(3) for _ in range(9)]) for _ in range(40)]
+    goe = 0
+    for ca in rules:
+        verdict = decide_surjective(ca)
+        if verdict.answer:
+            assert _least_goe_word(ca, 8) is None
+        else:
+            word = verdict.witness["word"]
+            assert _least_goe_word(ca, len(word)) == word
+            goe += 1
+    assert 0 < goe < len(rules)
+
+
+def _surjectivity_outcome(ca, X, Y, budget=decide1d.DEFAULT_PAIR_BUDGET):
+    try:
+        return decide_surjective(ca, X, Y, budget).to_json()
+    except (BudgetExceededError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "what", None), getattr(exc, "requested", None)
+
+
+def _compare_outcome(compare, X, Y, budget):
+    try:
+        return compare(X, Y, budget)
+    except BudgetExceededError as exc:
+        return exc.what, exc.requested
+
+
+DOMAINS = {"full": None, "golden_mean": golden_mean(), "even_shift": even_shift()}
+
+
+def test_lazy_compare_matches_the_eager_compare(monkeypatch):
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(120):
+        a = rng.choice((2, 2, 3))
+        ca = random_ca(rng, a, max_width=4 if a == 2 else 2)
+        names = list(DOMAINS) if a == 2 else ["full"]
+        X, Y = DOMAINS[rng.choice(names)], DOMAINS[rng.choice(names)]
+        image = image_presentation(ca, X)
+        codomain = presentation_of(Y) if Y is not None else full_shift(ca.output_alphabet)
+        for pair in ((image, codomain), (codomain, image)):
+            assert sofic_compare(*pair) == eager_sofic_compare(*pair)
+        lazy = _surjectivity_outcome(ca, X, Y)
+        with monkeypatch.context() as patched:
+            patched.setattr(decide1d, "sofic_compare", eager_sofic_compare)
+            assert lazy == _surjectivity_outcome(ca, X, Y)
+        outcomes.add(lazy[0] if isinstance(lazy, tuple) else lazy["answer"])
+    # surjective, not surjective, and an image with a word outside the codomain
+    assert outcomes == {True, False, "ValueError"}
+
+
+def test_budget_counts_only_the_subsets_the_lazy_compare_builds():
+    rng = random.Random(37)
+    rescued = 0
+    for _ in range(60):
+        ca = random_ca(rng, 2, max_width=5)
+        X, Y = DOMAINS[rng.choice(list(DOMAINS))], DOMAINS[rng.choice(list(DOMAINS))]
+        image = image_presentation(ca, X)
+        codomain = presentation_of(Y) if Y is not None else full_shift(BINARY)
+        for budget in (1, 2, 4, 9, 30):
+            lazy = _compare_outcome(sofic_compare, image, codomain, budget)
+            eager = _compare_outcome(eager_sofic_compare, image, codomain, budget)
+            if lazy != eager:  # only a budget error may become an answer
+                assert eager == ("determinization states", budget + 1)
+                assert lazy[0] in (True, False)
+                rescued += 1
+    assert rescued > 0
+
+
+def test_short_goe_word_is_found_below_the_eager_budget():
+    # the image automaton of this width-6 rule has 487 states; the BFS finds
+    # the word 0000 after building 11 of them
+    rng = random.Random(5)
+    tables = [[rng.randrange(2) for _ in range(64)] for _ in range(3)]
+    image, full = image_presentation(interval_ca(2, 6, tables[2])), full_shift(BINARY)
+    for compare, built in ((sofic_compare, 11), (eager_sofic_compare, 487)):
+        assert compare(image, full, built) == (False, None, "0000")
+        with pytest.raises(BudgetExceededError) as info:
+            compare(image, full, built - 1)
+        assert (info.value.what, info.value.requested) == ("determinization states", built)
+
+
+def test_positive_verdicts_without_a_witness_are_one_object():
+    ca = wolfram_rule(102)
+    assert decide_surjective(ca) is decide_preinjective(ca)
+    assert not hasattr(decide_surjective(ca), "__dict__")
 
 def test_random_diamond_witnesses_verify():
     rng = random.Random(13)

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from goelab import entropy, subshift
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
-from goelab.decide1d import image_presentation
+from goelab.decide1d import image_presentation, normalize_interval
 from goelab.entropy import (
     _strongly_connected_components,
     image_entropy_check,
@@ -201,6 +202,34 @@ def test_image_counts_never_violate_on_random_rules():
         report = image_entropy_check(ca, ns=range(1, 11))
         assert report.violations == 0
 
+
+
+def test_image_entropy_check_builds_each_subset_automaton_once(monkeypatch):
+    built = []
+    original = subshift.subset_automaton
+
+    def counting(pres, *args):
+        built.append(pres)
+        return original(pres, *args)
+
+    rng = random.Random(19)
+    for X in (None, golden_mean(), even_shift()):
+        ca = CellularAutomaton(
+            Z, BINARY, BINARY, tuple((c,) for c in range(4)), tuple(rng.randrange(2) for _ in range(16))
+        )
+        # the same report from one language count per n and one Perron value per shift
+        w = len(normalize_interval(ca).memory_set)
+        image = image_presentation(ca, X)
+        domain = presentation_of(X) if X is not None else full_shift(BINARY)
+        rows = tuple((n, language_count(image, n + 1), language_count(domain, n + w)) for n in range(1, 9))
+        perrons = (perron_entropy(domain), perron_entropy(image))
+        with monkeypatch.context() as patched:
+            patched.setattr(subshift, "subset_automaton", counting)
+            patched.setattr(entropy, "subset_automaton", counting)
+            built.clear()
+            report = image_entropy_check(ca, X, range(1, 9))
+        assert len(built) == 2  # the image and the domain, once each
+        assert (report.rows, report.domain_perron, report.image_perron) == (rows, *perrons)
 
 def test_no_surjection_onto_bigger_alphabet():
     report = no_surjection_bigger_alphabet_check(2, 3, trials=25, seed=0)

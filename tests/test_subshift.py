@@ -7,6 +7,7 @@ import signal
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import eager_sofic_compare
 from goelab.errors import BudgetExceededError
 from goelab.groups import FreeGroup, Zd
 from goelab.jsonio import sofic_from_json, sofic_to_json
@@ -29,6 +30,7 @@ from goelab.subshift import (
     sft_to_sofic,
     sofic_compare,
     sofic_equal,
+    subset_automaton,
     trim,
     word_appears,
 )
@@ -251,6 +253,55 @@ def test_sofic_compare_golden_vs_even():
     assert only_e == "11"  # shortest even-shift word the golden mean forbids
     assert only_g == "101"  # shortest golden word the even shift forbids
 
+
+
+def _random_graph(rng, symbols):
+    n = rng.randint(0, 5)
+    edges = tuple(
+        (u, rng.randrange(n), s)
+        for u in range(n)
+        for s in range(len(symbols))
+        for _ in range(rng.choice((0, 1, 1, 2)))
+    )
+    return SoficPresentation1D(Alphabet(symbols), n, edges)
+
+
+def test_lazy_compare_matches_the_eager_compare_on_random_graphs():
+    # alphabets that are equal, nested, overlapping and disjoint; graphs from
+    # empty to nondeterministic, and budgets from 1 subset up
+    rng = random.Random(43)
+    alphabets = (("0", "1"), ("0",), ("0", "1", "2"), ("1", "2"), ("a", "b"))
+    for _ in range(400):
+        X = _random_graph(rng, rng.choice(alphabets))
+        Y = _random_graph(rng, rng.choice(alphabets))
+        budget = rng.choice((1, 2, 4, 1 << 17))
+        for pair in ((X, Y), (Y, X)):
+            try:
+                want = eager_sofic_compare(*pair, budget)
+            except BudgetExceededError:
+                continue  # the lazy compare may answer where the eager one ran out
+            assert sofic_compare(*pair, budget) == want
+
+
+def test_a_full_shift_settles_only_the_witness_its_alphabet_covers():
+    A3 = Alphabet.of_size(3)
+    empty = SoficPresentation1D(BINARY, 0, ())
+    assert sofic_compare(full_shift(A3), full_shift(BINARY)) == (False, "2", None)
+    assert sofic_compare(full_shift(BINARY), full_shift(A3)) == (False, None, "2")
+    assert sofic_compare(golden_mean(), full_shift(BINARY)) == (False, None, "11")
+    assert sofic_compare(full_shift(BINARY), even_shift()) == (False, "101", None)
+    # the empty graph's start subset is fixed by every symbol too, but reads
+    # no nonempty word
+    assert sofic_compare(empty, full_shift(BINARY)) == (False, None, "0")
+    assert sofic_compare(empty, empty) == (True, None, None)
+
+
+def test_subset_states_are_bitmasks_in_discovery_order():
+    auto = subset_automaton(sft_to_sofic(golden_mean()))
+    # vertices 0 and 1 remember the symbols 0 and 1: {0, 1} -0-> {0}, -1-> {1}
+    assert auto.states == (0b11, 0b01, 0b10)
+    assert auto.transitions == [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: 1}]
+    assert subset_automaton(SoficPresentation1D(BINARY, 0, ())).states == (0,)
 
 def test_irreducible_builtins():
     assert irreducible(golden_mean())
