@@ -22,6 +22,7 @@ from .patterns import Alphabet
 from .subshift import (
     SFTPresentation,
     SoficPresentation1D,
+    _automaton_graph,
     _word_counts,
     determinize,
     full_shift,
@@ -171,13 +172,16 @@ def _spectral_radius(rows: List[List[Tuple[int, int]]], tol: float) -> float:
 def perron_entropy(X, tol: float = 1e-9) -> float:
     """log of the spectral radius of the determinized, trimmed presentation.
 
-    ``X`` is a 1D subshift presentation or its ``SubsetAutomaton``, which is
-    then not built again.  On a non-strongly-connected graph the value is
-    the maximum over the strongly connected components.  Returns -inf for an
-    empty language.  The iteration runs over sparse rows, O(edges) per step
-    and O(edges) memory, never over an n x n matrix.
+    On a non-strongly-connected graph the value is the maximum over the
+    strongly connected components.  Returns -inf for an empty language.
+    The iteration runs over sparse rows, O(edges) per step and O(edges)
+    memory, never over an n x n matrix.
     """
-    pres = determinize(X)
+    return _graph_entropy(determinize(presentation_of(X)), tol)
+
+
+def _graph_entropy(pres: SoficPresentation1D, tol: float = 1e-9) -> float:
+    """log of the spectral radius of a deterministic presentation."""
     n = pres.num_vertices
     if n == 0:
         return float("-inf")
@@ -254,8 +258,8 @@ def image_entropy_check(
     return ImageEntropyReport(
         tuple(rows),
         violations,
-        perron_entropy(domain_auto),
-        perron_entropy(image_auto),
+        _graph_entropy(_automaton_graph(domain_auto)),
+        _graph_entropy(_automaton_graph(image_auto)),
     )
 
 

@@ -8,13 +8,14 @@ of the subshift's language.  The compiler checks its budget on the a^(m-1)
 higher-block vertices before any word is enumerated, and matches gapped
 forbidden patterns in place, their gaps as wildcards.
 
-Subset construction works on vertex sets held as int bitmasks, through one
-step routine shared by ``subset_automaton``, ``word_appears`` and
-``sofic_compare``.  ``subset_automaton`` builds the whole automaton in BFS
-discovery order, which the Perron values depend on.  ``sofic_compare`` builds
-both automata lazily inside its product BFS and stops once both witnesses
-are settled, so a comparison with a full shift stops at the first missing
-word; its budget counts the subsets it actually built on each side.
+Subset construction works on vertex sets held as ascending vertex tuples,
+through one step table shared by ``subset_automaton``, ``word_appears`` and
+``sofic_compare``; a step costs the edges it reads, not the size of the
+graph.  ``subset_automaton`` builds the whole automaton in BFS discovery
+order, which the Perron values depend on.  ``sofic_compare`` builds both
+automata lazily inside its product BFS and stops once both witnesses are
+settled, so a comparison with a full shift stops at the first missing word;
+its budget counts the subsets it actually built on each side.
 
 Membership for Z^d SFTs with d >= 2 is exposed only as local admissibility
 on finite windows (no global-extension claims).  Window counts are exact: a
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, UnsupportedGroupError
 from .groups import Element, FiniteSubset, Group, Zd
@@ -245,55 +246,24 @@ def presentation_of(X, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1
 # -- determinization and language operations ----------------------------------
 
 
-def _union(rows: Sequence[int], mask: int) -> int:
-    """The bitwise union of ``rows[q]`` over the set bits ``q`` of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _subset_step(num_vertices: int, num_symbols: int, edges) -> List[List[Tuple[int, ...]]]:
+    """The step table of the subset construction: ``step[s][q]`` is the
+    ascending tuple of the vertices that an edge labeled ``s`` reaches from
+    vertex ``q``, for edges (q, target, s) given in sorted order.  It holds
+    one entry per edge and per (symbol, vertex)."""
+    step: List[List[list]] = [[[] for _ in range(num_vertices)] for _ in range(num_symbols)]
+    for u, v, sym in edges:
+        step[sym][u].append(v)
+    return [[tuple(targets) for targets in row] for row in step]
 
 
-def _subset_step(pres: SoficPresentation1D) -> Callable[[int], Tuple[int, ...]]:
-    """The step of the subset construction, on vertex sets as int bitmasks.
-
-    Returns ``successors``: ``successors(mask)[s]`` is the set of vertices
-    that an edge labeled ``s`` reaches from a vertex of ``mask``, 0 where
-    there is none.  The targets of a vertex for every symbol are packed in
-    one integer, symbol ``s`` at bits ``s*n`` to ``s*n + n - 1``.  A mask is
-    read one byte at a time, and the union of the packed rows of each byte
-    value is computed the first time that value is met at that byte.  The
-    first 256 answers are kept, which is every answer for a graph of at
-    most 8 vertices, such as a full shift.
-    """
-    n, a = pres.num_vertices, len(pres.alphabet)
-    rows = [0] * n
-    for u, v, sym in pres.edges:
-        rows[u] |= 1 << (sym * n + v)
-    size = (n + 7) // 8
-    chunks = [rows[i : i + 8] for i in range(0, n, 8)]
-    unions: List[List[Optional[int]]] = [[None] * (1 << len(chunk)) for chunk in chunks]
-    full = (1 << n) - 1
-    shifts = [sym * n for sym in range(a)]
-    known: Dict[int, Tuple[int, ...]] = {}
-
-    def successors(mask: int) -> Tuple[int, ...]:
-        out = known.get(mask)
-        if out is None:
-            packed = 0
-            for table, chunk, byte in zip(unions, chunks, mask.to_bytes(size, "little")):
-                if byte:
-                    union = table[byte]
-                    if union is None:
-                        union = table[byte] = _union(chunk, byte)
-                    packed |= union
-            out = tuple([packed >> shift & full for shift in shifts])
-            if len(known) < 256:
-                known[mask] = out
-        return out
-
-    return successors
+def _successor(row: Sequence[Tuple[int, ...]], state: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The vertex set, as an ascending tuple, that the step ``row`` of one
+    symbol reaches from ``state``; () where no edge is read.  The cost is the
+    number of edges read, whatever the size of the graph."""
+    if len(state) == 1:
+        return row[state[0]]  # already ascending and distinct
+    return tuple(sorted(set(itertools.chain.from_iterable(map(row.__getitem__, state)))))
 
 
 def _check_budget(built: int, budget: int) -> None:
@@ -305,11 +275,11 @@ def _check_budget(built: int, budget: int) -> None:
 class SubsetAutomaton:
     """Deterministic automaton for the language, start = set of all vertices.
 
-    ``states`` holds the vertex sets as int bitmasks (bit q for vertex q) in
-    BFS discovery order from the start, and ``transitions[i]`` maps each
-    symbol readable from state i to the index of its target.  Words of the
-    language correspond bijectively to paths from the start state, which is
-    what counting and comparison need.
+    ``states`` holds the vertex sets as ascending vertex tuples in BFS
+    discovery order from the start, and ``transitions[i]`` maps each symbol
+    readable from state i to the index of its target.  Words of the language
+    correspond bijectively to paths from the start state, which is what
+    counting and comparison need.
     """
 
     def __init__(self, states, transitions, alphabet):
@@ -326,14 +296,15 @@ def subset_automaton(
     pres: SoficPresentation1D, budget: int = DEFAULT_STATE_BUDGET
 ) -> SubsetAutomaton:
     pres = trim(pres)
-    successors = _subset_step(pres)
-    start = (1 << pres.num_vertices) - 1
+    step = _subset_step(pres.num_vertices, len(pres.alphabet), pres.edges)
+    start = tuple(range(pres.num_vertices))
     index = {start: 0}
     states = [start]
     transitions = []
-    for mask in states:  # the list grows while it is read: BFS discovery order
+    for state in states:  # the list grows while it is read: BFS discovery order
         trans = {}
-        for sym, target in enumerate(successors(mask)):
+        for sym, row in enumerate(step):
+            target = _successor(row, state)
             if not target:
                 continue
             if target not in index:
@@ -352,10 +323,10 @@ def word_appears(X, word, budget: int = DEFAULT_STATE_BUDGET) -> bool:
         word = parse_word(pres.alphabet, word)
     if word and not 0 <= min(word) <= max(word) < len(pres.alphabet):
         return False  # no edge reads a symbol outside the alphabet
-    successors = _subset_step(pres)
-    current = (1 << pres.num_vertices) - 1
+    step = _subset_step(pres.num_vertices, len(pres.alphabet), pres.edges)
+    current = tuple(range(pres.num_vertices))
     for sym in word:
-        current = successors(current)[sym]
+        current = _successor(step[sym], current)
         if not current:
             return False
     return True
@@ -383,19 +354,18 @@ def language_count(X, n: int, budget: int = DEFAULT_STATE_BUDGET) -> int:
     return _word_counts(subset_automaton(presentation_of(X, budget), budget), n)[n]
 
 
-def determinize(X, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1D:
-    """A deterministic (right-resolving) presentation of the same language:
-    the trimmed subset automaton.  ``X`` may also be a ``SubsetAutomaton``
-    already built, which is then used as it is."""
-    if isinstance(X, SubsetAutomaton):
-        auto = X
-    else:
-        auto = subset_automaton(presentation_of(X, budget), budget)
+def _automaton_graph(auto: SubsetAutomaton) -> SoficPresentation1D:
+    """The trimmed graph of a subset automaton: a deterministic presentation."""
     edges = []
     for i, trans in enumerate(auto.transitions):
         for sym, j in sorted(trans.items()):
             edges.append((i, j, sym))
     return trim(SoficPresentation1D(auto.alphabet, len(auto.states), tuple(edges)))
+
+
+def determinize(X, budget: int = DEFAULT_STATE_BUDGET) -> SoficPresentation1D:
+    """A deterministic (right-resolving) presentation of the same language."""
+    return _automaton_graph(subset_automaton(presentation_of(X, budget), budget))
 
 
 def _merge_symbols(A: Alphabet, B: Alphabet) -> Tuple[Alphabet, Dict[int, int], Dict[int, int]]:
@@ -406,13 +376,13 @@ def _merge_symbols(A: Alphabet, B: Alphabet) -> Tuple[Alphabet, Dict[int, int], 
     return merged, mapA, mapB
 
 
-def _reads_every_word(successors, start: int) -> bool:
+def _reads_every_word(step, start: Tuple[int, ...]) -> bool:
     """Every symbol maps the start subset to itself, so every word over the
     alphabet is read from it (and the language is the full shift)."""
-    return start != 0 and all(target == start for target in successors(start))
+    return bool(start) and all(_successor(row, start) == start for row in step)
 
 
-def _missing_words(succX, startX: int, succY, startY: int, budget: int):
+def _missing_words(stepX, startX, stepY, startY, budget: int):
     """Product BFS of two subset automata, each built only as far as its
     subsets are reached.  Yields (0, word) for a word that X reads and Y does
     not, and (1, word) for the converse, both at the first product state and
@@ -423,8 +393,9 @@ def _missing_words(succX, startX: int, succY, startY: int, budget: int):
     frontier = [(startX, startY, ())]
     while frontier:
         nxt = []
-        for mx, my, word in frontier:
-            for sym, (tx, ty) in enumerate(zip(succX(mx), succY(my))):
+        for sx, sy, word in frontier:
+            for sym, (rowX, rowY) in enumerate(zip(stepX, stepY)):
+                tx, ty = _successor(rowX, sx), _successor(rowY, sy)
                 if tx and ty:
                     if (tx, ty) in seen:
                         continue
@@ -458,15 +429,15 @@ def sofic_compare(X, Y, budget: int = DEFAULT_STATE_BUDGET):
     """
     presX, presY = presentation_of(X, budget), presentation_of(Y, budget)
     merged, mapX, mapY = _merge_symbols(presX.alphabet, presY.alphabet)
-    succX, succY = (  # both graphs relabeled into the merged alphabet
-        _subset_step(SoficPresentation1D(merged, p.num_vertices, tuple((u, v, m[s]) for u, v, s in p.edges)))
+    stepX, stepY = (  # both graphs relabeled into the merged alphabet
+        _subset_step(p.num_vertices, len(merged), ((u, v, m[s]) for u, v, s in p.edges))
         for p, m in ((presX, mapX), (presY, mapY))
     )
-    startX, startY = (1 << presX.num_vertices) - 1, (1 << presY.num_vertices) - 1
+    startX, startY = tuple(range(presX.num_vertices)), tuple(range(presY.num_vertices))
     only: List[Optional[Tuple[int, ...]]] = [None, None]
-    settled = [_reads_every_word(succY, startY), _reads_every_word(succX, startX)]
+    settled = [_reads_every_word(stepY, startY), _reads_every_word(stepX, startX)]
     if not all(settled):
-        for side, word in _missing_words(succX, startX, succY, startY, budget):
+        for side, word in _missing_words(stepX, startX, stepY, startY, budget):
             if not settled[side]:
                 only[side], settled[side] = word, True
                 if all(settled):
@@ -491,12 +462,24 @@ def _reach_masks(pres: SoficPresentation1D) -> List[int]:
         adj[u] |= 1 << v
     masks = []
     for v in range(n):
-        seen = new = 1 << v
-        while new:
-            new = _union(adj, new) & ~seen
-            seen |= new
+        seen = 1 << v
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for q in frontier:
+                new = adj[q] & ~seen
+                seen |= adj[q]
+                while new:
+                    bit = new & -new
+                    nxt.append(bit.bit_length() - 1)
+                    new ^= bit
+            frontier = nxt
         masks.append(seen)
     return masks
+
+
+def _subset_states(pres: SoficPresentation1D, budget: int) -> List[Tuple[int, ...]]:
+    return list(subset_automaton(pres, budget).states)
 
 
 def irreducible(X, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -511,13 +494,16 @@ def irreducible(X, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     if pres.num_vertices == 0:
         return True
     reach = _reach_masks(pres)
-    fwd = subset_automaton(pres, budget).states
+    fwd = _subset_states(pres, budget)
     reversed_pres = SoficPresentation1D(
         pres.alphabet, pres.num_vertices, tuple((v, u, s) for (u, v, s) in pres.edges)
     )
-    starts = subset_automaton(reversed_pres, budget).states
+    bwd = _subset_states(reversed_pres, budget)
+    starts = [sum(1 << q for q in state) for state in bwd]
     for end_state in fwd:
-        reachable = _union(reach, end_state)
+        reachable = 0
+        for q in end_state:
+            reachable |= reach[q]
         if any(reachable & mask == 0 for mask in starts):
             return False
     return True
@@ -543,7 +529,16 @@ def mixing_gap(X, budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
     for k in range(1, wielandt + 1):
         if all(r == full for r in power):
             return k
-        power = [_union(rows, row) for row in power]
+        nxt = []
+        for u in range(n):
+            acc = 0
+            bits = power[u]
+            while bits:
+                bit = bits & -bits
+                acc |= rows[bit.bit_length() - 1]
+                bits ^= bit
+            nxt.append(acc)
+        power = nxt
     return None
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -401,6 +402,23 @@ def test_short_goe_word_is_found_below_the_eager_budget():
         with pytest.raises(BudgetExceededError) as info:
             compare(image, full, built - 1)
         assert (info.value.what, info.value.requested) == ("determinization states", built)
+
+
+def test_wide_left_permutive_rule_is_settled_in_memory_linear_in_its_edges():
+    # a left-permutive width-13 rule: every symbol fixes the start subset of
+    # its 4,096-vertex image, so one step over its 8,192 edges settles the
+    # compare; a vertex bitmask per edge target would take 8,192 x 2,048 bits
+    rng = random.Random(13)
+    g = [rng.randrange(2) for _ in range(1 << 12)]
+    image = image_presentation(interval_ca(2, 13, [(k >> 12) ^ g[k & 4095] for k in range(1 << 13)]))
+    tracemalloc.start()
+    try:
+        result = sofic_compare(image, full_shift(BINARY))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (image.num_vertices, result) == (4096, (True, None, None))
+    assert peak < 2_500_000  # 1.1 MB measured on CPython 3.11
 
 
 def test_positive_verdicts_without_a_witness_are_one_object():

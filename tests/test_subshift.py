@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -296,12 +297,29 @@ def test_a_full_shift_settles_only_the_witness_its_alphabet_covers():
     assert sofic_compare(empty, empty) == (True, None, None)
 
 
-def test_subset_states_are_bitmasks_in_discovery_order():
+def test_subset_states_are_vertex_tuples_in_discovery_order():
     auto = subset_automaton(sft_to_sofic(golden_mean()))
     # vertices 0 and 1 remember the symbols 0 and 1: {0, 1} -0-> {0}, -1-> {1}
-    assert auto.states == (0b11, 0b01, 0b10)
+    assert auto.states == ((0, 1), (0,), (1,))
     assert auto.transitions == [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: 1}]
-    assert subset_automaton(SoficPresentation1D(BINARY, 0, ())).states == (0,)
+    assert subset_automaton(SoficPresentation1D(BINARY, 0, ())).states == ((),)
+
+def test_subset_automaton_memory_follows_the_subsets_it_holds():
+    # forbidding 1 ... 1 at distance 12 gives a sparse 4,096-vertex graph
+    # whose 8,191 subsets hold 53,248 vertex entries in all; a vertex bitmask
+    # per subset would alone take 8,191 x 4,096 bits (4.2 MB)
+    X = SFTPresentation(Zd(1), BINARY, (Pattern.from_dict(Zd(1), {(0,): 1, (12,): 1}),))
+    pres = sft_to_sofic(X)
+    tracemalloc.start()
+    try:
+        auto = subset_automaton(pres)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (pres.num_vertices, len(auto.states)) == (4096, 8191)
+    assert sum(map(len, auto.states)) == 53248
+    assert peak < 8_000_000  # 3.7 MB measured on CPython 3.11
+
 
 def test_irreducible_builtins():
     assert irreducible(golden_mean())
