@@ -128,7 +128,7 @@ def image_presentation(
 ) -> SoficPresentation1D:
     """A presentation of the image subshift tau(X) (X defaults to the full shift)."""
     ca = normalize_interval(ca)
-    pres = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
+    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
     lift = DeBruijnLift(ca, pres, budget)
     edges = []
     for src, lst in enumerate(lift.out):
@@ -169,11 +169,11 @@ def decide_surjective(
     product search with Y reaches.  When Y is the full shift on the output
     alphabet (the default), no image word can be missing from Y, so the
     search stops at the first Garden of Eden word; a surjective rule still
-    needs every subset reachable in the image.  ``budget`` bounds the lift
-    and, per side, the subsets built.
+    needs every subset reachable in the image.  ``budget`` bounds the SFT
+    compiles, the lift and, per side, the subsets built.
     """
     image = image_presentation(ca, X, budget)
-    codomain = presentation_of(Y) if Y is not None else full_shift(ca.output_alphabet)
+    codomain = presentation_of(Y, budget) if Y is not None else full_shift(ca.output_alphabet)
     equal, only_img, only_cod = sofic_compare(image, codomain, budget)
     if only_img is not None:
         raise ValueError(
@@ -349,7 +349,7 @@ def decide_preinjective(
     """True iff there is no diamond (two distinct almost-equal configurations
     of the domain with the same image)."""
     ca = normalize_interval(ca)
-    pres = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
+    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
     pg = _PairGraph(DeBruijnLift(ca, pres, budget), budget)
     left_inf, right_inf = pg.sync_tails()
     if not left_inf or not right_inf:
@@ -451,7 +451,7 @@ def decide_injective(
 ) -> Verdict:
     """True iff no two distinct domain configurations share an image."""
     ca = normalize_interval(ca)
-    pres = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
+    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
     pg = _PairGraph(DeBruijnLift(ca, pres, budget), budget)
     total = pg.n * pg.n
     first, heads = [0], []
@@ -510,7 +510,7 @@ def me_check_subshift(
     if cells != list(range(cells[0], cells[0] + len(cells))):
         raise ValueError("the subshift ME check needs an interval support")
     ca = normalize_interval(ca)
-    pres = presentation_of(X)
+    pres = presentation_of(X, budget)
     lift = DeBruijnLift(ca, pres, budget)
     left_inf, right_inf = _PairGraph(lift, budget).sync_tails()
     n = lift.num_states

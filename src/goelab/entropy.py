@@ -23,6 +23,7 @@ from .subshift import (
     SFTPresentation,
     SoficPresentation1D,
     _automaton_graph,
+    _strongly_connected_components,
     _word_counts,
     determinize,
     full_shift,
@@ -94,55 +95,6 @@ def pattern_count_entropy(X, ns: Sequence[int]) -> EntropyEstimate:
 
 
 # -- Perron value for 1D ------------------------------------------------------
-
-
-def _strongly_connected_components(n: int, adj: List[List[int]]) -> List[List[int]]:
-    """Tarjan, iterative; components in a deterministic order."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack: List[int] = []
-    comps: List[List[int]] = []
-    counter = [1]
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
-                if not visited[u]:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
 
 
 def _spectral_radius(rows: List[List[Tuple[int, int]]], tol: float) -> float:

@@ -17,6 +17,12 @@ automata lazily inside its product BFS and stops once both witnesses are
 settled, so a comparison with a full shift stops at the first missing word;
 its budget counts the subsets it actually built on each side.
 
+Irreducibility and mixing read the strongly connected components of the
+trimmed graph (one Tarjan routine, which the Perron values use too): the
+language is irreducible iff some component presents all of it, which
+``sofic_compare`` tests; the adjacency matrix is primitive iff there is one
+component and its period is 1.
+
 Membership for Z^d SFTs with d >= 2 is exposed only as local admissibility
 on finite windows (no global-extension claims).  Window counts are exact: a
 binary SFT whose forbidden patterns are the odd-sum assignments on their
@@ -28,7 +34,9 @@ pattern forbids, is checked against a cap before any state is built.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -454,92 +462,129 @@ def sofic_equal(X, Y, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 # -- irreducibility and mixing -------------------------------------------------
 
 
-def _reach_masks(pres: SoficPresentation1D) -> List[int]:
-    """Bitmask of vertices reachable (>= 0 steps) from each vertex."""
-    n = pres.num_vertices
-    adj = [0] * n
+def _strongly_connected_components(n: int, adj: List[List[int]]) -> List[List[int]]:
+    """Tarjan, iterative; components in a deterministic order."""
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    visited = [False] * n
+    stack: List[int] = []
+    comps: List[List[int]] = []
+    counter = [1]
+    for root in range(n):
+        if visited[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                visited[v] = True
+                index[v] = low[v] = counter[0]
+                counter[0] += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for i in range(pi, len(adj[v])):
+                u = adj[v][i]
+                if not visited[u]:
+                    work[-1] = (v, i + 1)
+                    work.append((u, 0))
+                    recurse = True
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], index[u])
+            if recurse:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    comp.append(u)
+                    if u == v:
+                        break
+                comps.append(sorted(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return comps
+
+
+def _components(pres: SoficPresentation1D) -> Tuple[List[List[int]], List[List[int]]]:
+    """The successor lists of a graph and its strongly connected components."""
+    adj: List[List[int]] = [[] for _ in range(pres.num_vertices)]
     for u, v, _ in pres.edges:
-        adj[u] |= 1 << v
-    masks = []
-    for v in range(n):
-        seen = 1 << v
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                new = adj[q] & ~seen
-                seen |= adj[q]
-                while new:
-                    bit = new & -new
-                    nxt.append(bit.bit_length() - 1)
-                    new ^= bit
-            frontier = nxt
-        masks.append(seen)
-    return masks
-
-
-def _subset_states(pres: SoficPresentation1D, budget: int) -> List[Tuple[int, ...]]:
-    return list(subset_automaton(pres, budget).states)
+        adj[u].append(v)
+    return adj, _strongly_connected_components(pres.num_vertices, adj)
 
 
 def irreducible(X, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """Exact: for all words u, v of the language some uwv is admissible.
 
-    End-sets of words are the forward subset-automaton states; the sets of
-    vertices from which a word is readable are the states of the reversed
-    automaton; u, v can be joined iff some end vertex of u reaches some
-    start vertex of v in the graph.
+    The trimmed graph G is essential, so the language is irreducible iff
+    some strongly connected component H with an edge presents the same
+    language as G (Lind & Marcus, ch. 3-4): a word of X holding every word
+    that each component misses, repeated more often than G has components,
+    would keep one copy inside a single component.  An empty or strongly
+    connected G answers at once; otherwise ``sofic_compare`` tests each
+    component, stopping at the first word of G that the component misses.
+    ``budget`` bounds the compile and the subsets each side of a compare
+    builds.
     """
     pres = presentation_of(X, budget)
-    if pres.num_vertices == 0:
+    _, comps = _components(pres)
+    if len(comps) <= 1:
         return True
-    reach = _reach_masks(pres)
-    fwd = _subset_states(pres, budget)
-    reversed_pres = SoficPresentation1D(
-        pres.alphabet, pres.num_vertices, tuple((v, u, s) for (u, v, s) in pres.edges)
-    )
-    bwd = _subset_states(reversed_pres, budget)
-    starts = [sum(1 << q for q in state) for state in bwd]
-    for end_state in fwd:
-        reachable = 0
-        for q in end_state:
-            reachable |= reach[q]
-        if any(reachable & mask == 0 for mask in starts):
-            return False
-    return True
+    refused = None
+    for comp in comps:
+        local = {u: k for k, u in enumerate(comp)}
+        edges = tuple(
+            (local[u], local[v], s) for u, v, s in pres.edges if u in local and v in local
+        )
+        if not edges:
+            continue
+        try:
+            if sofic_compare(pres, SoficPresentation1D(pres.alphabet, len(comp), edges), budget)[0]:
+                return True
+        except BudgetExceededError as err:  # another component may still answer
+            refused = err
+    if refused is not None:
+        raise refused
+    return False
 
 
 def mixing_gap(X, budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
     """Primitivity index of the presentation graph's adjacency matrix.
 
     A finite value k certifies a uniform mixing gap (all-positive A^k);
-    None means the matrix is not primitive.  For non-SFT sofic inputs this
-    is a certificate about the given presentation.
+    None means the matrix is not primitive.  The matrix is primitive iff
+    the trimmed graph is one strongly connected component of period 1, the
+    gcd of level(u) + 1 - level(v) over its edges, with BFS levels from
+    vertex 0; only then are its powers taken, up to the first all-positive
+    one.  For non-SFT sofic inputs this is a certificate about the given
+    presentation.
     """
     pres = presentation_of(X, budget)
     n = pres.num_vertices
-    if n == 0:
+    adj, comps = _components(pres)
+    if len(comps) != 1:
         return None
-    rows = [0] * n
-    for u, v, _ in pres.edges:
-        rows[u] |= 1 << v
+    level = [0] + [-1] * (n - 1)
+    queue = [0]
+    for u in queue:  # the list grows while it is read: BFS
+        for v in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    if math.gcd(*(level[u] + 1 - level[v] for u, v, _ in pres.edges)) != 1:
+        return None
     full = (1 << n) - 1
-    power = list(rows)
-    wielandt = (n - 1) * (n - 1) + 1 if n > 1 else 1
-    for k in range(1, wielandt + 1):
-        if all(r == full for r in power):
+    power = [1 << u for u in range(n)]  # the rows of A^0 as bitmasks
+    for k in itertools.count(1):  # A^(k+1) = A A^k; a primitive A has an all-positive power
+        power = [functools.reduce(int.__or__, [power[v] for v in succ]) for succ in adj]
+        if power.count(full) == n:
             return k
-        nxt = []
-        for u in range(n):
-            acc = 0
-            bits = power[u]
-            while bits:
-                bit = bits & -bits
-                acc |= rows[bit.bit_length() - 1]
-                bits ^= bit
-            nxt.append(acc)
-        power = nxt
-    return None
 
 
 # -- window admissibility over Z^d ----------------------------------------------

@@ -7,7 +7,14 @@ from goelab.automaton import CellularAutomaton
 from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
 from goelab.patterns import Alphabet, BINARY, render_word, word_to_pattern
-from goelab.subshift import SFTPresentation, _merge_symbols, presentation_of, trim
+from goelab.subshift import (
+    SFTPresentation,
+    SoficPresentation1D,
+    _merge_symbols,
+    presentation_of,
+    subset_automaton,
+    trim,
+)
 
 Z = Zd(1)
 A3 = Alphabet.of_size(3)
@@ -143,3 +150,81 @@ def eager_sofic_compare(X, Y, budget=1 << 17):
         None if only_x is None else render_word(merged, only_x),
         None if only_y is None else render_word(merged, only_y),
     )
+
+
+# -- irreducibility and mixing by subset automata and matrix powers, kept as the
+# references for the component-based tests ------------------------------------
+
+
+def _reach_masks(pres):
+    """Bitmask of vertices reachable (>= 0 steps) from each vertex."""
+    adj = [0] * pres.num_vertices
+    for u, v, _ in pres.edges:
+        adj[u] |= 1 << v
+    masks = []
+    for v in range(pres.num_vertices):
+        seen = 1 << v
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for q in frontier:
+                new = adj[q] & ~seen
+                seen |= adj[q]
+                while new:
+                    bit = new & -new
+                    nxt.append(bit.bit_length() - 1)
+                    new ^= bit
+            frontier = nxt
+        masks.append(seen)
+    return masks
+
+
+def subset_irreducible(X, budget=1 << 17):
+    """u, v can be joined iff some end vertex of u reaches some start vertex
+    of v: end sets are the forward subset-automaton states, start sets those
+    of the reversed graph."""
+    pres = presentation_of(X, budget)
+    if pres.num_vertices == 0:
+        return True
+    reach = _reach_masks(pres)
+    fwd = subset_automaton(pres, budget).states
+    reversed_pres = SoficPresentation1D(
+        pres.alphabet, pres.num_vertices, tuple((v, u, s) for (u, v, s) in pres.edges)
+    )
+    bwd = subset_automaton(reversed_pres, budget).states
+    starts = [sum(1 << q for q in state) for state in bwd]
+    for end_state in fwd:
+        reachable = 0
+        for q in end_state:
+            reachable |= reach[q]
+        if any(reachable & mask == 0 for mask in starts):
+            return False
+    return True
+
+
+def wielandt_mixing_gap(X, budget=1 << 17):
+    """The first all-positive power of the adjacency matrix, tried up to the
+    Wielandt bound (n - 1)^2 + 1, or None."""
+    pres = presentation_of(X, budget)
+    n = pres.num_vertices
+    if n == 0:
+        return None
+    rows = [0] * n
+    for u, v, _ in pres.edges:
+        rows[u] |= 1 << v
+    full = (1 << n) - 1
+    power = list(rows)
+    for k in range(1, (n - 1) * (n - 1) + 2):
+        if all(r == full for r in power):
+            return k
+        nxt = []
+        for u in range(n):
+            acc = 0
+            bits = power[u]
+            while bits:
+                bit = bits & -bits
+                acc |= rows[bit.bit_length() - 1]
+                bits ^= bit
+            nxt.append(acc)
+        power = nxt
+    return None

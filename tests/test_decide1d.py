@@ -26,6 +26,7 @@ from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
 from goelab.patterns import Alphabet, BINARY, Pattern, render_word, word_to_pattern
 from goelab.subshift import (
+    SFTPresentation,
     even_shift,
     full_shift,
     golden_mean,
@@ -578,6 +579,28 @@ def test_lift_budget_is_checked_before_the_lift_is_built():
     # 8 golden words of length 4
     lift = DeBruijnLift(interval_ca(2, 4, [0] * 16), presentation_of(golden_mean()), budget=8)
     assert lift.num_states == 8
+
+
+def _gap12_decisions():
+    # forbidding a 1 at cells 0 and 12 needs 4,096 higher-block vertices
+    X = SFTPresentation(Z, BINARY, (Pattern.from_dict(Z, {(0,): 1, (12,): 1}),))
+    identity = wolfram_rule(204)
+    p = Pattern.from_dict(Z, {(0,): 0})
+    return [
+        lambda budget: decide_surjective(identity, X, budget=budget),
+        lambda budget: decide_preinjective(identity, X, budget=budget),
+        lambda budget: decide_injective(identity, X, budget=budget),
+        lambda budget: decide_surjective(identity, None, X, budget=budget),
+        lambda budget: me_check_subshift(identity, X, p, p, budget=budget),
+        lambda budget: image_presentation(identity, X, budget=budget),
+    ]
+
+
+@pytest.mark.parametrize("decide", _gap12_decisions())
+def test_the_callers_budget_bounds_the_compile(decide):
+    with pytest.raises(BudgetExceededError) as info:
+        decide(1 << 10)
+    assert (info.value.what, info.value.requested) == ("higher-block vertices", 1 << 12)
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,14 @@ import itertools
 import json
 import random
 import signal
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import eager_sofic_compare
+from conftest import eager_sofic_compare, subset_irreducible, wielandt_mixing_gap
+from goelab import subshift
 from goelab.errors import BudgetExceededError
 from goelab.groups import FreeGroup, Zd
 from goelab.jsonio import sofic_from_json, sofic_to_json
@@ -339,6 +341,77 @@ def test_mixing_gaps():
     # gluing radius 2 quoted for it
     assert mixing_gap(even_shift()) == 2
     assert mixing_gap(full_shift(BINARY)) == 1
+
+
+def _union_graph(rng, symbols):
+    # two random graphs, or one and its determinized copy, joined by one-way
+    # bridges: reducible graphs, some presenting an irreducible language
+    left = _random_graph(rng, symbols)
+    if rng.random() < 0.5:
+        right = determinize(left)
+    else:
+        right = _random_graph(rng, symbols)
+    n, m = left.num_vertices, right.num_vertices
+    edges = left.edges + tuple((n + u, n + v, s) for u, v, s in right.edges)
+    if n and m:
+        bridges = [(rng.randrange(n), n + rng.randrange(m), rng.randrange(len(symbols)))
+                   for _ in range(rng.randint(1, 3))]
+        edges += tuple((v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in bridges)
+    return SoficPresentation1D(Alphabet(symbols), n + m, edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_match_the_subset_and_power_references(seed):
+    # where the answers differ, only a reference that ran out of budget may
+    # have become an answer
+    rng = random.Random(seed)
+    alphabets = (("0",), ("0", "1"), ("0", "1", "2"))
+    for _ in range(250):
+        symbols = rng.choice(alphabets)
+        X = (_random_graph if rng.random() < 0.5 else _union_graph)(rng, symbols)
+        budget = rng.choice((1, 2, 3, 4, 8, 1 << 17))
+        for reference, function in (
+            (subset_irreducible, irreducible),
+            (wielandt_mixing_gap, mixing_gap),
+        ):
+            try:
+                want = reference(X, budget)
+            except BudgetExceededError:
+                continue
+            assert function(X, budget) == want, (X, budget)
+
+
+def _gap_sft(d):
+    """Forbids 1 ... 1 at distance d: 2^d higher-block vertices, one component."""
+    return SFTPresentation(Zd(1), BINARY, (Pattern.from_dict(Zd(1), {(0,): 1, (d,): 1}),))
+
+
+def test_irreducible_builds_no_subset_on_a_strongly_connected_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(subshift, "_check_budget", lambda *args: calls.append(args))
+    assert sft_to_sofic(_gap_sft(12)).num_vertices == 4096
+    assert irreducible(_gap_sft(12))
+    assert calls == []
+
+
+def test_irreducible_compares_the_components_of_a_reducible_graph():
+    # 0 and 1 are joined only one way, and the loop at 2 alone reads every word
+    bridged = SoficPresentation1D(
+        BINARY, 3, ((0, 0, 0), (0, 1, 1), (1, 1, 1), (2, 2, 0), (2, 2, 1), (2, 0, 0))
+    )
+    assert not irreducible(SoficPresentation1D(BINARY, 2, bridged.edges[:3]))
+    assert irreducible(bridged)
+
+
+def test_mixing_gap_stops_at_once_on_a_long_cycle():
+    cycle = SoficPresentation1D(BINARY, 400, tuple((i, (i + 1) % 400, 0) for i in range(400)))
+    start = time.perf_counter()
+    assert mixing_gap(cycle) is None
+    assert time.perf_counter() - start < 1.0  # 18 s powering to the Wielandt bound
+    # Wielandt's graph, an n-cycle with one chord, attains the bound (n - 1)^2 + 1
+    ring = tuple((i, (i + 1) % 12, 0) for i in range(12))
+    wielandt = SoficPresentation1D(BINARY, 12, ring + ((0, 2, 1),))
+    assert mixing_gap(wielandt) == wielandt_mixing_gap(wielandt) == 11 * 11 + 1
 
 
 def brute_locally_admissible(sft, window):
