@@ -6,14 +6,17 @@ lift states are length-(W-1) edge paths, lift edges consume one domain symbol
 and emit one output symbol, so paths of length n correspond to domain words
 of length n + W - 1 and their output labels spell the image word.
 
-Pre-injectivity and injectivity are decided on the product of the lift with
-itself restricted to equal output labels.  Edges where the two consumed
-domain symbols agree are "sync" edges.  A diamond exists iff some unequal-
-symbol edge lies between a state with a left-infinite sync tail and a state
-with a right-infinite sync tail (the tails realize the shared part of two
-almost-equal configurations); injectivity drops the sync requirement on the
-tails.  This works verbatim for nondeterministic presentations, where a
-configuration does not determine its presentation path.
+Pre-injectivity and injectivity are one search on the product of the lift
+with itself restricted to equal output labels.  Edges where the two consumed
+domain symbols agree are "sync" edges.  Two distinct configurations with one
+image exist iff some unequal-symbol edge lies between a state with a
+left-infinite tail and a state with a right-infinite tail; the search takes
+the least such edge and walks its tails out to cycles.  The two decisions
+differ only in the tails they accept: sync tails for a diamond (the tails
+realize the shared part of two almost-equal configurations), any infinite
+path for injectivity.  This works verbatim for nondeterministic
+presentations, where a configuration does not determine its presentation
+path.
 
 Every phase is linear in the part of the pair graph it touches.  Pair edges
 are generated on demand from the lift edges grouped by output symbol, and the
@@ -333,55 +336,7 @@ def _bridge(pg: _PairGraph, sources: set, goals: set):
                     return tgt, steps[::-1]
                 nxt.append(tgt)
         frontier = sorted(nxt)
-    return None, None
-
-
-def _pair_syms(steps: Sequence[Tuple[int, int]]):
-    return tuple(a for a, _ in steps), tuple(b for _, b in steps)
-
-
-# -- pre-injectivity ---------------------------------------------------------------
-
-
-def decide_preinjective(
-    ca: CellularAutomaton, X=None, budget: int = DEFAULT_PAIR_BUDGET
-) -> Verdict:
-    """True iff there is no diamond (two distinct almost-equal configurations
-    of the domain with the same image)."""
-    ca = normalize_interval(ca)
-    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
-    pg = _PairGraph(DeBruijnLift(ca, pres, budget), budget)
-    left_inf, right_inf = pg.sync_tails()
-    if not left_inf or not right_inf:
-        return Verdict(True, detail=(("note", "empty domain"),))
-    # every state of a diamond path co-reaches the right tails, so the search
-    # never leaves the states that do
-    to_right = _reach(pg, right_inf, forward=False)
-    found = _first_diff_edge(pg, _reach(pg, left_inf & to_right, within=to_right), to_right)
-    if found is None:
-        return _TRUE
-    src, a1, a2, tgt = found
-
-    # Witness: ... (left cycle)^inf stem bridge [a1|a2] bridge stem (right cycle)^inf
-    anchor = _nearest_in(pg, left_inf, src)
-    lcycle, lstem = _walk_to_cycle(pg, anchor, left_inf, sync_only=True, forward=False)
-    _, pre_steps = _bridge(pg, {anchor}, {src})
-    goal, mid_steps = _bridge(pg, {tgt}, right_inf)
-    rcycle, rstem = _walk_to_cycle(pg, goal, right_inf, sync_only=True, forward=True)
-
-    alphabet = ca.input_alphabet
-    c1, c2 = _pair_syms((pre_steps or []) + [(a1, a2)] + (mid_steps or []))
-    witness = {
-        "type": "diamond",
-        "left_period": render_word(alphabet, _pair_syms(lcycle)[0]),
-        "left_pad": render_word(alphabet, _pair_syms(lstem)[0]),
-        "center": [render_word(alphabet, c1), render_word(alphabet, c2)],
-        "right_pad": render_word(alphabet, _pair_syms(rstem)[0]),
-        "right_period": render_word(alphabet, _pair_syms(rcycle)[0]),
-    }
-    if not verify_diamond_witness(ca, pres, witness):
-        raise RuntimeError(f"diamond witness failed re-verification: {witness!r}")
-    return Verdict(False, witness, detail=(("witness_verified", True),))
+    raise RuntimeError("inconsistent pair graph: no bridge found")
 
 
 def _nearest_in(pg: _PairGraph, targets: set, state: int) -> int:
@@ -403,7 +358,86 @@ def _nearest_in(pg: _PairGraph, targets: set, state: int) -> int:
     raise RuntimeError("inconsistent pair graph: no anchor found")
 
 
+# -- pre-injectivity and injectivity ------------------------------------------------
+
+
+def _pair_search(ca: CellularAutomaton, X, budget: int, sync: bool):
+    """The least pair of distinct configurations with one image, as
+    ``(ca, pres, parts)`` with one ``[word1, word2]`` per witness part, or
+    ``parts`` None if there is none.  ``sync`` asks for a diamond (sync
+    tails); then an empty domain returns None.  Otherwise the tails are the
+    injectivity core, which is closed both ways: the anchor is the edge's
+    source and both bridges are empty."""
+    ca = normalize_interval(ca)
+    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
+    pg = _PairGraph(DeBruijnLift(ca, pres, budget), budget)
+    if sync:
+        left, right = pg.sync_tails()
+        if not left or not right:
+            return None
+        # every state of a diamond path co-reaches the right tails, so the
+        # search never leaves the states that do
+        targets = _reach(pg, right, forward=False)
+        sources = _reach(pg, left & targets, within=targets)
+    else:
+        total = pg.n * pg.n
+        first, heads = [0], []
+        for s in range(total):
+            heads += [t for t, _, _ in pg.edges(s)]
+            first.append(len(heads))
+        core = set(itertools.compress(range(total), _live(total, first, heads)))
+        left = right = sources = targets = core
+    found = _first_diff_edge(pg, sources, targets)
+    if found is None:
+        return ca, pres, None
+    src, a1, a2, tgt = found
+
+    # ... (left cycle)^inf stem bridge [a1|a2] bridge stem (right cycle)^inf
+    anchor = _nearest_in(pg, left, src)
+    lcycle, lstem = _walk_to_cycle(pg, anchor, left, sync, forward=False)
+    _, pre_steps = _bridge(pg, {anchor}, {src})
+    goal, mid_steps = _bridge(pg, {tgt}, right)
+    rcycle, rstem = _walk_to_cycle(pg, goal, right, sync, forward=True)
+    alphabet = ca.input_alphabet
+    return ca, pres, [
+        [render_word(alphabet, tuple(step[k] for step in steps)) for k in (0, 1)]
+        for steps in (lcycle, lstem, pre_steps + [(a1, a2)] + mid_steps, rstem, rcycle)
+    ]
+
+
 _WITNESS_PARTS = ("left_period", "left_pad", "center", "right_pad", "right_period")
+
+
+def decide_preinjective(
+    ca: CellularAutomaton, X=None, budget: int = DEFAULT_PAIR_BUDGET
+) -> Verdict:
+    """True iff there is no diamond (two distinct almost-equal configurations
+    of the domain with the same image)."""
+    found = _pair_search(ca, X, budget, sync=True)
+    if found is None:
+        return Verdict(True, detail=(("note", "empty domain"),))
+    ca, pres, parts = found
+    if parts is None:
+        return _TRUE
+    # the flanks are sync paths: both configurations read the same words there
+    witness = {"type": "diamond"}
+    witness.update((k, p if k == "center" else p[0]) for k, p in zip(_WITNESS_PARTS, parts))
+    if not verify_diamond_witness(ca, pres, witness):
+        raise RuntimeError(f"diamond witness failed re-verification: {witness!r}")
+    return Verdict(False, witness, detail=(("witness_verified", True),))
+
+
+def decide_injective(
+    ca: CellularAutomaton, X=None, budget: int = DEFAULT_PAIR_BUDGET
+) -> Verdict:
+    """True iff no two distinct domain configurations share an image."""
+    ca, pres, parts = _pair_search(ca, X, budget, sync=False)
+    if parts is None:
+        return _TRUE
+    witness = {"type": "config_pair", **dict(zip(_WITNESS_PARTS, parts))}
+    if not verify_injectivity_witness(ca, pres, witness):
+        raise RuntimeError(f"injectivity witness failed re-verification: {witness!r}")
+    return Verdict(False, witness, detail=(("witness_verified", True),))
 
 
 def verify_diamond_witness(ca: CellularAutomaton, X, witness: dict) -> bool:
@@ -418,22 +452,33 @@ def verify_diamond_witness(ca: CellularAutomaton, X, witness: dict) -> bool:
     )
 
 
+def verify_injectivity_witness(ca: CellularAutomaton, X, witness: dict) -> bool:
+    """Empirical re-check of an eventually periodic equal-image pair: both
+    words admissible, words distinct, all comparable outputs equal over
+    several repetitions of both periods."""
+    return _verify_pair(ca, X, [witness[k] for k in _WITNESS_PARTS])
+
+
 def _verify_pair(ca: CellularAutomaton, X, parts) -> bool:
     """Both words of an eventually periodic pair, given as (word1, word2) for
     each of the witness parts in order, are admissible and distinct and have
-    equal outputs, with each period repeated past every window and state."""
+    equal outputs, with each period repeated past every window and state.
+    ``X`` defaults to the full shift, as in the decisions; a pair with an
+    empty period describes no configurations."""
     ca = normalize_interval(ca)
-    pres = presentation_of(X)
+    pres = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
     alphabet = ca.input_alphabet
     w = len(ca.memory_set)
     (lp1, lp2), (lpad1, lpad2), (c1, c2), (rpad1, rpad2), (rp1, rp2) = [
         (parse_word(alphabet, one), parse_word(alphabet, two)) for one, two in parts
     ]
+    if not lp1 or not rp1:
+        return False
     if len(lp1) != len(lp2) or len(rp1) != len(rp2) or len(lpad1) != len(lpad2):
         return False
     pad = pres.num_vertices * w + w
-    reps_l = max(2, pad // max(1, len(lp1)) + 1)
-    reps_r = max(2, pad // max(1, len(rp1)) + 1)
+    reps_l = max(2, pad // len(lp1) + 1)
+    reps_r = max(2, pad // len(rp1) + 1)
     s1 = lp1 * reps_l + lpad1 + c1 + rpad1 + rp1 * reps_r
     s2 = lp2 * reps_l + lpad2 + c2 + rpad2 + rp2 * reps_r
     if s1 == s2 or len(s1) != len(s2):
@@ -441,54 +486,6 @@ def _verify_pair(ca: CellularAutomaton, X, parts) -> bool:
     if not (word_appears(pres, s1) and word_appears(pres, s2)):
         return False
     return slide(ca, s1) == slide(ca, s2)
-
-
-# -- injectivity --------------------------------------------------------------------
-
-
-def decide_injective(
-    ca: CellularAutomaton, X=None, budget: int = DEFAULT_PAIR_BUDGET
-) -> Verdict:
-    """True iff no two distinct domain configurations share an image."""
-    ca = normalize_interval(ca)
-    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
-    pg = _PairGraph(DeBruijnLift(ca, pres, budget), budget)
-    total = pg.n * pg.n
-    first, heads = [0], []
-    for s in range(total):
-        heads += [t for t, _, _ in pg.edges(s)]
-        first.append(len(heads))
-    alive = set(itertools.compress(range(total), _live(total, first, heads)))
-    found = _first_diff_edge(pg, alive, alive)
-    if found is None:
-        return _TRUE
-    src, a1, a2, tgt = found
-    lcycle, lstem = _walk_to_cycle(pg, src, alive, sync_only=False, forward=False)
-    rcycle, rstem = _walk_to_cycle(pg, tgt, alive, sync_only=False, forward=True)
-    alphabet = ca.input_alphabet
-
-    def both(steps):
-        s1, s2 = _pair_syms(steps)
-        return [render_word(alphabet, s1), render_word(alphabet, s2)]
-
-    witness = {
-        "type": "config_pair",
-        "left_period": both(lcycle),
-        "left_pad": both(lstem),
-        "center": both([(a1, a2)]),
-        "right_pad": both(rstem),
-        "right_period": both(rcycle),
-    }
-    if not verify_injectivity_witness(ca, pres, witness):
-        raise RuntimeError(f"injectivity witness failed re-verification: {witness!r}")
-    return Verdict(False, witness, detail=(("witness_verified", True),))
-
-
-def verify_injectivity_witness(ca: CellularAutomaton, X, witness: dict) -> bool:
-    """Empirical re-check of an eventually periodic equal-image pair: both
-    words admissible, words distinct, all comparable outputs equal over
-    several repetitions of both periods."""
-    return _verify_pair(ca, X, [witness[k] for k in _WITNESS_PARTS])
 
 
 # -- mutual erasability on subshift domains ------------------------------------------

@@ -6,7 +6,13 @@ import tracemalloc
 
 import pytest
 
-from conftest import eager_sofic_compare, make_fiorenzi_even_ca, make_golden_even_ca
+from conftest import (
+    eager_sofic_compare,
+    make_fiorenzi_even_ca,
+    make_golden_even_ca,
+    separate_decide_injective,
+    separate_decide_preinjective,
+)
 from goelab import decide1d
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
 from goelab.decide1d import (
@@ -21,12 +27,14 @@ from goelab.decide1d import (
     preimage_histogram,
     slide,
     verify_diamond_witness,
+    verify_injectivity_witness,
 )
 from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
 from goelab.patterns import Alphabet, BINARY, Pattern, render_word, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
+    SoficPresentation1D,
     even_shift,
     full_shift,
     golden_mean,
@@ -487,6 +495,40 @@ def test_injective_implies_preinjective():
     assert seen_injective > 0  # permutation-like rules do appear
 
 
+
+def _random_graph(rng, alphabet):
+    """A nondeterministic labeled graph on 1-4 vertices; one in four has only
+    forward edges, so it presents the empty language."""
+    n = rng.randint(1, 4)
+    acyclic = rng.random() < 0.25
+    edges = [
+        (u, v, rng.randrange(len(alphabet)))
+        for u, v in ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3 * n)))
+        if u < v or not acyclic
+    ]
+    return SoficPresentation1D(alphabet, n, tuple(edges))
+
+
+def test_one_pair_search_matches_the_two_separate_searches():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(800):
+        a = rng.choice((2, 2, 3))
+        ca = random_ca(rng, a, max_width=4 if a == 2 else 3)
+        domains = [None, _random_graph(rng, ca.input_alphabet)]
+        if a == 2:
+            domains += [golden_mean(), even_shift()]
+        X = rng.choice(domains)
+        for one, separate in (
+            (decide_preinjective, separate_decide_preinjective),
+            (decide_injective, separate_decide_injective),
+        ):
+            verdict = one(ca, X).to_json()
+            assert verdict == separate(ca, X).to_json()
+            seen.add((verdict["witness"] or {}).get("type", verdict.get("note", True)))
+    assert seen == {True, "empty domain", "diamond", "config_pair"}
+
+
 # -- pinned verdicts ---------------------------------------------------------------------
 #
 # Verdict JSON recorded with the original fixpoint-loop pair-graph engine; the
@@ -615,3 +657,30 @@ def test_failed_reverification_is_an_internal_error(monkeypatch, decide, verifie
     monkeypatch.setattr(decide1d, verifier, lambda *args: False)
     with pytest.raises(RuntimeError, match="failed re-verification"):
         decide(wolfram_rule(rule))
+
+
+@pytest.mark.parametrize(
+    "decide, verify, rule",
+    [
+        (decide_preinjective, verify_diamond_witness, 232),
+        (decide_injective, verify_injectivity_witness, 102),
+    ],
+)
+def test_witnesses_verify_on_the_default_domain(decide, verify, rule):
+    ca = wolfram_rule(rule)
+    assert verify(ca, None, decide(ca).witness)
+
+
+def test_a_witness_with_an_empty_period_describes_no_pair():
+    # both words are shorter than the window, so their images are both empty
+    flanks = ("left_period", "left_pad", "right_pad", "right_period")
+    diamond = {"type": "diamond", "center": ["0", "1"], **{k: "" for k in flanks}}
+    pair = {"type": "config_pair", "center": ["0", "1"], **{k: ["", ""] for k in flanks}}
+    assert not verify_diamond_witness(wolfram_rule(102), full_shift(BINARY), diamond)
+    assert not verify_injectivity_witness(wolfram_rule(102), full_shift(BINARY), pair)
+
+
+def test_a_missing_bridge_is_an_internal_error():
+    pg = decide1d._PairGraph(DeBruijnLift(wolfram_rule(102), full_shift(BINARY)))
+    with pytest.raises(RuntimeError, match="inconsistent pair graph"):
+        decide1d._bridge(pg, {0}, set())
