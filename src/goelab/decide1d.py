@@ -6,17 +6,17 @@ lift states are length-(W-1) edge paths, lift edges consume one domain symbol
 and emit one output symbol, so paths of length n correspond to domain words
 of length n + W - 1 and their output labels spell the image word.
 
-Pre-injectivity and injectivity are one search on the product of the lift
-with itself restricted to equal output labels.  Edges where the two consumed
-domain symbols agree are "sync" edges.  Two distinct configurations with one
-image exist iff some unequal-symbol edge lies between a state with a
-left-infinite tail and a state with a right-infinite tail; the search takes
-the least such edge and walks its tails out to cycles.  The two decisions
-differ only in the tails they accept: sync tails for a diamond (the tails
-realize the shared part of two almost-equal configurations), any infinite
-path for injectivity.  This works verbatim for nondeterministic
-presentations, where a configuration does not determine its presentation
-path.
+Pre-injectivity and injectivity are one search on the product of the lift with
+itself restricted to equal output labels.  Edges where the two consumed domain
+symbols agree are "sync" edges.  Two distinct configurations with one image
+exist iff some unequal-symbol edge lies between a state with a left-infinite
+tail and a state with a right-infinite tail; the search takes the least such
+edge, joins it to the tails by shortest paths and walks the tails out to
+cycles.  The two decisions differ only in the tails they accept: sync tails
+for a diamond (the tails realize the shared part of two almost-equal
+configurations), any infinite path for injectivity.  This works verbatim for
+nondeterministic presentations, where a configuration does not determine its
+presentation path.
 
 Every phase is linear in the part of the pair graph it touches.  Pair edges
 are generated on demand from the lift edges grouped by output symbol, and the
@@ -93,8 +93,7 @@ class DeBruijnLift:
     ):
         if ca.input_alphabet != pres.alphabet:
             raise ValueError("domain alphabet does not match the automaton input")
-        self.ca = ca
-        self.width = w = len(ca.memory_set)
+        w = len(ca.memory_set)
         pres = trim(pres)
         edges = pres.edges
         leaving: List[List[int]] = [[] for _ in range(pres.num_vertices)]
@@ -126,12 +125,18 @@ class DeBruijnLift:
             self.out.append(lst)
 
 
+def _domain(ca: CellularAutomaton, X, budget: int):
+    """``(ca, pres)``: the rule on its minimal interval and its domain X
+    compiled at ``budget``, where None is the full shift on the input alphabet."""
+    ca = normalize_interval(ca)
+    return ca, presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
+
+
 def image_presentation(
     ca: CellularAutomaton, X=None, budget: int = DEFAULT_PAIR_BUDGET
 ) -> SoficPresentation1D:
     """A presentation of the image subshift tau(X) (X defaults to the full shift)."""
-    ca = normalize_interval(ca)
-    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
+    ca, pres = _domain(ca, X, budget)
     lift = DeBruijnLift(ca, pres, budget)
     edges = []
     for src, lst in enumerate(lift.out):
@@ -311,9 +316,12 @@ def _walk_to_cycle(pg: _PairGraph, start: int, alive: set, sync_only: bool, forw
         seen[state] = len(labels)
 
 
-def _bridge(pg: _PairGraph, sources: set, goals: set):
-    """Shortest canonical pair-edge path from sources to goals; returns
-    (goal_state, steps)."""
+def _bridge(pg: _PairGraph, sources: set, goals: set, forward: bool = True):
+    """Shortest path from ``sources`` to ``goals`` (or, not ``forward``, from
+    ``goals`` into ``sources``) as (goal_state, steps in forward order), by BFS
+    over state-ordered frontiers.  Forward, edges are tried in (sym1, sym2,
+    target) order, so the steps are canonical; backward, predecessors are
+    tried in state order, so only the goal (the least nearest) is."""
     hit = sorted(sources & goals)
     if hit:
         return hit[0], []
@@ -322,7 +330,8 @@ def _bridge(pg: _PairGraph, sources: set, goals: set):
     while frontier:
         nxt = []
         for s in frontier:
-            for tgt, a1, a2 in pg.edges(s):
+            edges = pg.edges(s, forward)
+            for tgt, a1, a2 in edges if forward else sorted(edges):
                 if tgt in parent:
                     continue
                 parent[tgt] = (s, (a1, a2))
@@ -333,29 +342,10 @@ def _bridge(pg: _PairGraph, sources: set, goals: set):
                         prev, syms = parent[cur]
                         steps.append(syms)
                         cur = prev
-                    return tgt, steps[::-1]
+                    return tgt, steps[::-1] if forward else steps
                 nxt.append(tgt)
         frontier = sorted(nxt)
     raise RuntimeError("inconsistent pair graph: no bridge found")
-
-
-def _nearest_in(pg: _PairGraph, targets: set, state: int) -> int:
-    """Canonical state of ``targets`` from which ``state`` is reachable."""
-    if state in targets:
-        return state
-    seen = {state}
-    frontier = [state]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for prev in sorted(t for t, _, _ in pg.edges(s, forward=False)):
-                if prev in targets:
-                    return prev
-                if prev not in seen:
-                    seen.add(prev)
-                    nxt.append(prev)
-        frontier = sorted(nxt)
-    raise RuntimeError("inconsistent pair graph: no anchor found")
 
 
 # -- pre-injectivity and injectivity ------------------------------------------------
@@ -368,8 +358,7 @@ def _pair_search(ca: CellularAutomaton, X, budget: int, sync: bool):
     tails); then an empty domain returns None.  Otherwise the tails are the
     injectivity core, which is closed both ways: the anchor is the edge's
     source and both bridges are empty."""
-    ca = normalize_interval(ca)
-    pres = presentation_of(X, budget) if X is not None else full_shift(ca.input_alphabet)
+    ca, pres = _domain(ca, X, budget)
     pg = _PairGraph(DeBruijnLift(ca, pres, budget), budget)
     if sync:
         left, right = pg.sync_tails()
@@ -392,8 +381,9 @@ def _pair_search(ca: CellularAutomaton, X, budget: int, sync: bool):
         return ca, pres, None
     src, a1, a2, tgt = found
 
-    # ... (left cycle)^inf stem bridge [a1|a2] bridge stem (right cycle)^inf
-    anchor = _nearest_in(pg, left, src)
+    # ... (left cycle)^inf stem bridge [a1|a2] bridge stem (right cycle)^inf;
+    # the anchor's backward path is not canonical, so its bridge is walked anew
+    anchor, _ = _bridge(pg, {src}, left, forward=False)
     lcycle, lstem = _walk_to_cycle(pg, anchor, left, sync, forward=False)
     _, pre_steps = _bridge(pg, {anchor}, {src})
     goal, mid_steps = _bridge(pg, {tgt}, right)
@@ -463,10 +453,9 @@ def _verify_pair(ca: CellularAutomaton, X, parts) -> bool:
     """Both words of an eventually periodic pair, given as (word1, word2) for
     each of the witness parts in order, are admissible and distinct and have
     equal outputs, with each period repeated past every window and state.
-    ``X`` defaults to the full shift, as in the decisions; a pair with an
-    empty period describes no configurations."""
-    ca = normalize_interval(ca)
-    pres = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
+    ``X`` is read as in the decisions, at their default budget; a pair with
+    an empty period describes no configurations."""
+    ca, pres = _domain(ca, X, DEFAULT_PAIR_BUDGET)
     alphabet = ca.input_alphabet
     w = len(ca.memory_set)
     (lp1, lp2), (lpad1, lpad2), (c1, c2), (rpad1, rpad2), (rp1, rp2) = [
@@ -498,16 +487,15 @@ def me_check_subshift(
     p2: Pattern,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> bool:
-    """Exact ME test over a sofic domain for patterns on a common interval:
-    some pair of domain configurations carries p1/p2 and agrees elsewhere
-    (MEP-1), and every such pair has equal images (MEP-2)."""
+    """Exact ME test over a sofic domain (None: the full shift) for patterns
+    on a common interval: some pair of domain configurations carries p1/p2
+    and agrees elsewhere (MEP-1), and every such pair has equal images (MEP-2)."""
     if p1.support != p2.support:
         raise ValueError("ME patterns need a common support")
     cells = [g[0] for g in p1.support]
     if cells != list(range(cells[0], cells[0] + len(cells))):
         raise ValueError("the subshift ME check needs an interval support")
-    ca = normalize_interval(ca)
-    pres = presentation_of(X, budget)
+    ca, pres = _domain(ca, X, budget)
     lift = DeBruijnLift(ca, pres, budget)
     left_inf, right_inf = _PairGraph(lift, budget).sync_tails()
     n = lift.num_states

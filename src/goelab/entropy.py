@@ -15,18 +15,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .automaton import CellularAutomaton
-from .decide1d import image_presentation, normalize_interval
+from .decide1d import _domain, image_presentation
 from .errors import UnsupportedGroupError
 from .groups import Zd
 from .patterns import Alphabet
 from .subshift import (
+    DEFAULT_STATE_BUDGET,
     SFTPresentation,
     SoficPresentation1D,
     _automaton_graph,
     _strongly_connected_components,
     _word_counts,
     determinize,
-    full_shift,
     language_count,
     locally_admissible_count,
     presentation_of,
@@ -189,8 +189,7 @@ def image_entropy_check(
     Each subset automaton is built once: one transfer over it counts the
     words of every length needed, and the Perron iteration reads it too.
     """
-    ca = normalize_interval(ca)
-    domain = presentation_of(X) if X is not None else full_shift(ca.input_alphabet)
+    ca, domain = _domain(ca, X, DEFAULT_STATE_BUDGET)
     image = image_presentation(ca, domain)
     w = len(ca.memory_set)
     ns = list(ns)

@@ -235,12 +235,33 @@ def wielandt_mixing_gap(X, budget=1 << 17):
     return None
 
 
-# -- the pre-injectivity and injectivity searches as two separate routines, kept
-# as the references for the one pair search ------------------------------------
+# -- the pre-injectivity and injectivity searches as two separate routines, with
+# their own backward anchor search, kept as the references for the one pair
+# search ------------------------------------------------------------------------
 
 
 def _pair_syms(steps):
     return tuple(a for a, _ in steps), tuple(b for _, b in steps)
+
+
+def nearest_in(pg, targets, state):
+    """The least state of ``targets`` at the least distance back from
+    ``state``: a backward BFS over sorted predecessors."""
+    if state in targets:
+        return state
+    seen = {state}
+    frontier = [state]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for prev in sorted(t for t, _, _ in pg.edges(s, forward=False)):
+                if prev in targets:
+                    return prev
+                if prev not in seen:
+                    seen.add(prev)
+                    nxt.append(prev)
+        frontier = sorted(nxt)
+    raise RuntimeError("inconsistent pair graph: no anchor found")
 
 
 def separate_decide_preinjective(ca, X=None, budget=decide1d.DEFAULT_PAIR_BUDGET):
@@ -258,7 +279,7 @@ def separate_decide_preinjective(ca, X=None, budget=decide1d.DEFAULT_PAIR_BUDGET
     if found is None:
         return decide1d.Verdict(True)
     src, a1, a2, tgt = found
-    anchor = decide1d._nearest_in(pg, left_inf, src)
+    anchor = nearest_in(pg, left_inf, src)
     lcycle, lstem = decide1d._walk_to_cycle(pg, anchor, left_inf, sync_only=True, forward=False)
     _, pre_steps = decide1d._bridge(pg, {anchor}, {src})
     goal, mid_steps = decide1d._bridge(pg, {tgt}, right_inf)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
@@ -29,6 +30,7 @@ from goelab.decide1d import (
     verify_diamond_witness,
     verify_injectivity_witness,
 )
+from goelab.entropy import perron_entropy
 from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
 from goelab.patterns import Alphabet, BINARY, Pattern, render_word, word_to_pattern
@@ -243,6 +245,54 @@ def _permutive_or_random_ca(rng, a, width):
             for k in range(a**width)
         )
     return CellularAutomaton(Z, alphabet, alphabet, S, table)
+
+
+def _oracle_rules():
+    """The 256 elementary rules, then seeded binary width-4/5 and ternary
+    width-2/3 rules."""
+    rng = random.Random(61)
+    rules = [wolfram_rule(k) for k in range(256)]
+    for a, width in [(2, 4), (2, 5), (3, 2), (3, 3)]:
+        rules += [interval_ca(a, width, [rng.randrange(a) for _ in range(a**width)]) for _ in range(30)]
+    return rules
+
+
+def _brute_force_diamond(ca):
+    """Two distinct words of one length with the same first and last W - 1
+    cells and the same image, which glue into a diamond.  Any length is
+    sound; these find a diamond of every oracle rule that has one."""
+    w, a = len(ca.memory_set), len(ca.input_alphabet)
+    length = min(2 * w + 4, 12) if a == 2 else min(2 * w + 2, 7)
+    seen = set()
+    for word in itertools.product(range(a), repeat=length):
+        key = (word[: w - 1], word[length - w + 1 :], slide(ca, word))
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+def test_brute_force_diamonds_match_decide_preinjective():
+    answers = []
+    for ca in _oracle_rules():
+        answers.append(decide_preinjective(ca).answer)
+        assert _brute_force_diamond(ca) != answers[-1]
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_moore_myhill_and_full_entropy_through_the_image():
+    # a pre-injective rule on a full shift is onto (Moore-Myhill), so its
+    # image has full entropy; any other image is a proper sofic subshift and
+    # loses entropy.  Both are read off the image, not the pair graph.
+    for ca in _oracle_rules():
+        answer = decide_preinjective(ca).answer
+        image = image_presentation(ca)
+        assert sofic_compare(image, full_shift(ca.output_alphabet))[0] == answer
+        full = math.log(len(ca.input_alphabet))
+        if answer:
+            assert abs(perron_entropy(image) - full) <= 1e-9
+        else:
+            assert perron_entropy(image) < full - 1e-9
 
 
 def test_hedlund_balance_against_decide_surjective():
@@ -469,11 +519,31 @@ def test_me_check_routes_agree_on_the_full_shift():
             v2 = tuple(rng.randrange(2) for _ in range(4))
             p1, p2 = Pattern(support, v1), Pattern(support, v2)
             assert me_check(ca, p1, p2) == me_check_subshift(ca, X, p1, p2)
-    # and on the classical pair
+    # and on the classical pair, where no domain is the full shift too
     ca232 = wolfram_rule(232)
     p1 = word_to_pattern(BINARY, "00000")
     p2 = word_to_pattern(BINARY, "00100")
     assert me_check_subshift(ca232, fs(BINARY), p1, p2)
+    assert me_check_subshift(ca232, None, p1, p2)
+
+
+def test_me_check_subshift_matches_the_window_me_check():
+    # a pair-lift product against ME class refinement: independent routes,
+    # here on intervals away from the origin and on ternary rules too
+    from goelab.goe_search import me_check
+
+    rng = random.Random(59)
+    answers = []
+    for _ in range(50):
+        a = rng.choice((2, 3))
+        ca = random_ca(rng, a, max_width=3 if a == 2 else 2)
+        for _ in range(12):
+            offset = rng.randint(-2, 2)
+            support = tuple((offset + i,) for i in range(rng.randint(1, 4)))
+            p, q = (Pattern(support, tuple(rng.randrange(a) for _ in support)) for _ in "pq")
+            answers.append(me_check_subshift(ca, None, p, q))
+            assert answers[-1] == me_check(ca, p, q)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_garden_of_eden_equivalence_on_ternary_rules():
@@ -552,12 +622,18 @@ def pinned_rule_sets():
 
     binary, ternary = draw(2, (4, 5), 10), draw(3, (2,), 20)
     golden, even = draw(2, (2, 3, 4), 6), draw(2, (2, 3, 4), 6)
+    # each rule on its own nondeterministic graph domain, some of them empty
+    graphs = [
+        (ca, _random_graph(rng, ca.input_alphabet))
+        for ca in draw(2, (2, 3, 4), 10) + draw(3, (2,), 10)
+    ]
     return {
-        "eca": ([wolfram_rule(k) for k in range(256)], None),
-        "binary-4-5": (binary, None),
-        "ternary-2": (ternary, None),
-        "golden_mean": (golden, golden_mean()),
-        "even_shift": (even, even_shift()),
+        "eca": [(wolfram_rule(k), None) for k in range(256)],
+        "binary-4-5": [(ca, None) for ca in binary],
+        "ternary-2": [(ca, None) for ca in ternary],
+        "golden_mean": [(ca, golden_mean()) for ca in golden],
+        "even_shift": [(ca, even_shift()) for ca in even],
+        "random-graph": graphs,
     }
 
 
@@ -567,13 +643,14 @@ PINNED_DIGESTS = {
     "ternary-2": "7c488cb5cae8b1f25a5375c96e7cb0c6ad981edffbaccf1f8b097e36a3cfe0c2",
     "golden_mean": "7b760a0c19ff947a32b4412cccb45d1b9c161e6486e2489e9c7137485fac2f5e",
     "even_shift": "4bd902a84ba853be1cf66dcdefa20529619d2eeea87aabab69c1f1c2bfcd65cc",
+    "random-graph": "291dd034a24e3553c00965ebd8e8bf04042ee44a94f7f2511256ecd99f052850",
 }
 
 
 def test_pinned_verdict_digests():
     decisions = (decide_surjective, decide_preinjective, decide_injective)
-    for name, (cas, X) in pinned_rule_sets().items():
-        rows = [[decide(ca, X).to_json() for decide in decisions] for ca in cas]
+    for name, subjects in pinned_rule_sets().items():
+        rows = [[decide(ca, X).to_json() for decide in decisions] for ca, X in subjects]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[name], name
 
