@@ -12,6 +12,7 @@ is what the minimal-memory-set computation needs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -27,6 +28,8 @@ from .patterns import (
     index_to_values,
     values_to_index,
 )
+
+_TABULATION_CAP = 2**24  # table entries from_local_rule may tabulate
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,14 @@ class CellularAutomaton:
         output_alphabet: Alphabet,
         memory_set: Sequence[Element],
         rule: Callable[[Tuple[int, ...]], int],
-        cap: int = 2**24,
     ) -> "CellularAutomaton":
-        """Tabulate ``rule`` (window values in canonical memory-set order)."""
+        """Tabulate ``rule`` (window values in canonical memory-set order),
+        at most ``_TABULATION_CAP`` entries."""
         S = group.canon(memory_set)
         a = len(input_alphabet)
         total = a ** len(S)
-        if total > cap:
-            raise BudgetExceededError("rule tabulation", total, cap)
+        if total > _TABULATION_CAP:
+            raise BudgetExceededError("rule tabulation", total, _TABULATION_CAP)
         table = tuple(
             rule(index_to_values(a, len(S), k)) for k in range(total)
         )
@@ -118,8 +121,6 @@ def apply_to_periodic(ca: CellularAutomaton, x: PeriodicConfig) -> PeriodicConfi
     """Torus evaluation with coordinates mod L (Z^d only)."""
     if not isinstance(ca.group, Zd):
         raise GroupMismatchError("periodic configurations require Z^d")
-    import itertools
-
     out = []
     for coords in itertools.product(*(range(L) for L in x.periods)):
         window = [

@@ -30,20 +30,23 @@ from .groups import Zd
 from .jsonio import (
     SCHEMA_VERSION,
     matrix_from_json,
-    pattern_to_json,
     rule_from_json,
     rule_to_json,
     subshift_from_json,
+    witness_to_json,
 )
 
 
-def _emit(obj: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj: dict, out_path: Optional[str]) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _say(message: str) -> None:
@@ -127,15 +130,7 @@ def cmd_analyze(args) -> int:
         verdict = gs.semi_decide(ca, _search_budget(args))
         payload = verdict.to_json()
         if verdict.witness is not None:
-            if isinstance(verdict.witness, tuple):
-                payload["witness"] = [
-                    pattern_to_json(ca.group, ca.input_alphabet, p)
-                    for p in verdict.witness
-                ]
-            else:
-                payload["witness"] = pattern_to_json(
-                    ca.group, ca.output_alphabet, verdict.witness
-                )
+            payload["witness"] = witness_to_json(ca, verdict.witness)
         report["provenance"] = "decided" if verdict.status != "unknown" else "unknown"
         report["verdicts"] = {"window_search": payload}
         summary = f"window search: {verdict.status}"
@@ -174,9 +169,7 @@ def cmd_goe(args) -> int:
         "inputs": {"rule_sha256": digest},
         "windows_scanned": outcome.windows_scanned,
         "skipped_windows": outcome.skipped_windows,
-        "found": None
-        if outcome.found is None
-        else pattern_to_json(ca.group, ca.output_alphabet, outcome.found),
+        "found": witness_to_json(ca, outcome.found),
     }
     _emit(report, args.out)
     if outcome.found is None:
@@ -193,11 +186,7 @@ def cmd_me(args) -> int:
         "schema": SCHEMA_VERSION,
         "inputs": {"rule_sha256": digest},
         "windows_scanned": outcome.windows_scanned,
-        "found": None
-        if outcome.found is None
-        else [
-            pattern_to_json(ca.group, ca.input_alphabet, p) for p in outcome.found
-        ],
+        "found": witness_to_json(ca, outcome.found),
     }
     _emit(report, args.out)
     if outcome.found is None:
@@ -227,12 +216,7 @@ def cmd_entropy(args) -> int:
             lines.append(
                 f"{row['n']},{row['count']},{row['cells']},{row['nats']},{row['bits']}"
             )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit(report, args.out)
     _say(f"entropy report ({args.method})")

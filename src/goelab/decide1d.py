@@ -49,6 +49,7 @@ from .subshift import (
 )
 
 DEFAULT_PAIR_BUDGET = 1 << 22
+_PREIMAGE_CAP = 1 << 24  # inputs the brute-force preimage counters may enumerate
 
 
 def normalize_interval(ca: CellularAutomaton) -> CellularAutomaton:
@@ -499,54 +500,38 @@ def me_check_subshift(
     lift = DeBruijnLift(ca, pres, budget)
     left_inf, right_inf = _PairGraph(lift, budget).sync_tails()
     n = lift.num_states
-    lift_out = lift.out
-
-    def step(frontier, want1, want2):
-        nxt: Dict[int, set] = {}
-        for state, flags in frontier.items():
-            i, j = divmod(state, n)
-            for a1, o1, t1 in lift_out[i]:
-                if want1 is not None and a1 != want1:
-                    continue
-                for a2, o2, t2 in lift_out[j]:
-                    if want2 is not None and a2 != want2:
-                        continue
-                    if want1 is None and a1 != a2:
-                        continue
-                    bad = o1 != o2
-                    got = nxt.setdefault(t1 * n + t2, set())
-                    for f in flags:
-                        got.add(f or bad)
-        return nxt
-
-    frontier: Dict[int, set] = {s: {False} for s in sorted(left_inf)}
-    for v1, v2 in zip(p1.values, p2.values):
-        frontier = step(frontier, v1, v2)
+    # (pair state, images differed yet): one step per pattern cell reading
+    # its two symbols, then W - 1 steps reading one symbol twice
+    frontier = {(s, False) for s in left_inf}
+    steps = list(zip(p1.values, p2.values)) + [None] * (len(ca.memory_set) - 1)
+    for want in steps:
+        frontier = {
+            (t1 * n + t2, dirty or o1 != o2)
+            for s, dirty in frontier
+            for a1, o1, t1 in lift.out[s // n]
+            for a2, o2, t2 in lift.out[s % n]
+            if (a1, a2) == want or (want is None and a1 == a2)
+        }
         if not frontier:
             return False  # the patterns do not jointly embed: (MEP-1) fails
-    for _ in range(len(ca.memory_set) - 1):
-        frontier = step(frontier, None, None)
-        if not frontier:
-            return False
-    clean = any(s in right_inf and False in flags for s, flags in frontier.items())
-    dirty = any(s in right_inf and True in flags for s, flags in frontier.items())
-    return clean and not dirty
+    return {dirty for s, dirty in frontier if s in right_inf} == {False}
 
 
 # -- preimage counting ----------------------------------------------------------------
 
 
-def count_preimages(ca: CellularAutomaton, word, cap: int = 1 << 24) -> int:
+def count_preimages(ca: CellularAutomaton, word) -> int:
     """Number of words of length |w| + |S| - 1 mapping onto w by sliding
-    evaluation over the full shift (brute-force, used as an oracle)."""
+    evaluation over the full shift (brute-force, used as an oracle; refuses
+    more than ``_PREIMAGE_CAP`` candidates)."""
     ca = normalize_interval(ca)
     target = parse_word(ca.output_alphabet, word)
     w = len(ca.memory_set)
     a = len(ca.input_alphabet)
     length = len(target) + w - 1
     total = a**length
-    if total > cap:
-        raise BudgetExceededError("preimage enumeration", total, cap)
+    if total > _PREIMAGE_CAP:
+        raise BudgetExceededError("preimage enumeration", total, _PREIMAGE_CAP)
     count = 0
     for candidate in itertools.product(range(a), repeat=length):
         if slide(ca, candidate) == target:
@@ -554,7 +539,7 @@ def count_preimages(ca: CellularAutomaton, word, cap: int = 1 << 24) -> int:
     return count
 
 
-def preimage_histogram(ca: CellularAutomaton, length: int, cap: int = 1 << 24):
+def preimage_histogram(ca: CellularAutomaton, length: int):
     """count_preimages for every output word of the given length at once:
     enumerate all inputs of length ``length + W - 1`` and histogram their
     images."""
@@ -562,8 +547,8 @@ def preimage_histogram(ca: CellularAutomaton, length: int, cap: int = 1 << 24):
     w = len(ca.memory_set)
     a = len(ca.input_alphabet)
     total = a ** (length + w - 1)
-    if total > cap:
-        raise BudgetExceededError("preimage enumeration", total, cap)
+    if total > _PREIMAGE_CAP:
+        raise BudgetExceededError("preimage enumeration", total, _PREIMAGE_CAP)
     counts: Dict[Tuple[int, ...], int] = {}
     for candidate in itertools.product(range(a), repeat=length + w - 1):
         img = slide(ca, candidate)

@@ -11,12 +11,14 @@ separately and no claim is made about abstract limits.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .automaton import CellularAutomaton
-from .decide1d import _domain, image_presentation
+from .decide1d import _domain, decide_surjective, image_presentation
 from .errors import UnsupportedGroupError
+from .goe_search import greedy_tiling
 from .groups import Zd
 from .patterns import Alphabet
 from .subshift import (
@@ -32,6 +34,8 @@ from .subshift import (
     presentation_of,
     subset_automaton,
 )
+
+_PERRON_TOL = 1e-9  # width of the Collatz bracket that ends the power iteration
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,10 @@ def pattern_count_entropy(X, ns: Sequence[int]) -> EntropyEstimate:
 # -- Perron value for 1D ------------------------------------------------------
 
 
-def _spectral_radius(rows: List[List[Tuple[int, int]]], tol: float) -> float:
+def _spectral_radius(rows: List[List[Tuple[int, int]]]) -> float:
     """Largest eigenvalue of a nonnegative irreducible integer matrix with a
-    certified bracket: power iteration on M + I, min/max Collatz ratios.
+    certified bracket: power iteration on M + I until the min/max Collatz
+    ratios are within ``_PERRON_TOL``.
 
     Row i of M is ``rows[i]``, its nonzero entries as (column, count) pairs
     in ascending column order.  Each row sum adds the same nonzero terms in
@@ -116,23 +121,24 @@ def _spectral_radius(rows: List[List[Tuple[int, int]]], tol: float) -> float:
         lo, hi = min(ratios), max(ratios)
         norm = max(w)
         v = [x / norm for x in w]
-        if hi - lo < tol:
+        if hi - lo < _PERRON_TOL:
             return (lo + hi) / 2.0 - 1.0
     raise RuntimeError("power iteration failed to bracket the spectral radius")
 
 
-def perron_entropy(X, tol: float = 1e-9) -> float:
-    """log of the spectral radius of the determinized, trimmed presentation.
+def perron_entropy(X) -> float:
+    """log of the spectral radius of the determinized, trimmed presentation,
+    bracketed to within ``_PERRON_TOL``.
 
     On a non-strongly-connected graph the value is the maximum over the
     strongly connected components.  Returns -inf for an empty language.
     The iteration runs over sparse rows, O(edges) per step and O(edges)
     memory, never over an n x n matrix.
     """
-    return _graph_entropy(determinize(presentation_of(X)), tol)
+    return _graph_entropy(determinize(presentation_of(X)))
 
 
-def _graph_entropy(pres: SoficPresentation1D, tol: float = 1e-9) -> float:
+def _graph_entropy(pres: SoficPresentation1D) -> float:
     """log of the spectral radius of a deterministic presentation."""
     n = pres.num_vertices
     if n == 0:
@@ -148,7 +154,7 @@ def _graph_entropy(pres: SoficPresentation1D, tol: float = 1e-9) -> float:
         rows = [
             sorted((local[v], c) for v, c in succ[u].items() if v in local) for u in comp
         ]
-        best = max(best, _spectral_radius(rows, tol))
+        best = max(best, _spectral_radius(rows))
     if best <= 0.0:
         return float("-inf")
     return math.log(best)
@@ -229,24 +235,20 @@ class SurjectionSweepReport:
 
 
 def no_surjection_bigger_alphabet_check(
-    a: int, b: int, trials: int = 25, seed: int = 0, max_memory: int = 3
+    a: int, b: int, trials: int = 25, seed: int = 0
 ) -> SurjectionSweepReport:
-    """Random CA from an a-symbol to a b-symbol full shift with a < b are
-    never surjective; any counterexample is a fatal bug."""
+    """Random CA from an a-symbol to a b-symbol full shift with a < b, on
+    interval memory sets of 1 to 3 cells, are never surjective; any
+    counterexample is a fatal bug."""
     if not a < b:
         raise ValueError("need a < b")
-    import random
-
-    from .decide1d import decide_surjective
-    from .patterns import Alphabet
-
     rng = random.Random(seed)
     A, B = Alphabet.of_size(a), Alphabet.of_size(b)
     group = Zd(1)
     witnesses = []
     ok = True
     for _ in range(trials):
-        width = rng.randint(1, max_memory)
+        width = rng.randint(1, 3)
         lo = rng.randint(-1, 0)
         S = tuple((c,) for c in range(lo, lo + width))
         table = tuple(rng.randrange(b) for _ in range(a**width))
@@ -286,8 +288,6 @@ def tiling_entropy_bound_check(
     Degenerate when the per-tile hypothesis X_E != A^E fails (full shift):
     reported as not applicable.  Over Z the tile must be an interval.
     """
-    from .goe_search import greedy_tiling
-
     group = _group_of(X)
     E = group.canon(E)
     a = len(X.alphabet)

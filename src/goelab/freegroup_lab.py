@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .automaton import CellularAutomaton, apply_to_finite_config, apply_to_pattern
 from .groups import FreeGroup
-from .linear_ca import GroupRingElement, MatrixCA, kernel_finite_support
+from .linear_ca import GroupRingElement, MatrixCA, kernel_finite_support, to_cellular_automaton
 from .patterns import BINARY, FiniteConfig, Pattern, index_to_values
 
 F2 = FreeGroup(2)
@@ -162,8 +162,6 @@ def verify_ex2(radius: int = 2) -> Ex2Report:
     """Bundle the structural non-surjectivity check (second output coordinate
     identically zero) with the finite-support kernel certificate."""
     M = muller_myhill_ca()
-    from .linear_ca import to_cellular_automaton
-
     ca = to_cellular_automaton(M)
     second_zero = all(
         index_to_values(2, 2, out)[1] == 0 for out in ca.table

@@ -199,14 +199,6 @@ class FreeGroup(Group):
                 return False  # not reduced
         return True
 
-    def generators(self) -> FiniteSubset:
-        """The symmetric generating set {a, a^-1, b, b^-1, ...} in canonical order."""
-        letters = []
-        for i in range(1, self.rank + 1):
-            letters.append((i,))
-            letters.append((-i,))
-        return tuple(letters)
-
     def mul(self, g, h):
         self.check(g)
         self.check(h)

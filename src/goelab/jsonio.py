@@ -145,6 +145,17 @@ def pattern_to_json(group: Group, alphabet: Alphabet, p: Pattern) -> dict:
     }
 
 
+def witness_to_json(ca: CellularAutomaton, found):
+    """A search witness: a mutually erasable pair as two patterns over the
+    input alphabet, a Garden of Eden pattern over the output alphabet, and
+    None (nothing found) as None."""
+    if found is None:
+        return None
+    if isinstance(found, tuple):
+        return [pattern_to_json(ca.group, ca.input_alphabet, p) for p in found]
+    return pattern_to_json(ca.group, ca.output_alphabet, found)
+
+
 def _pattern(group: Group, alphabet: Alphabet, obj, what: str) -> Pattern:
     _expect(obj, dict, what)
     if "word" in obj:

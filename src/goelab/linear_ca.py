@@ -21,11 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .automaton import CellularAutomaton
+from .decide1d import decide_preinjective, decide_surjective
 from .errors import BudgetExceededError, GroupMismatchError
 from .groups import Element, FiniteSubset, Group, Zd
 from .patterns import Alphabet, index_to_values, values_to_index
 
 Vector = Tuple[int, ...]
+
+_LINEAR_TABULATION_CAP = 1 << 20  # table entries to_cellular_automaton may tabulate
+_KERNEL_CAP = 1 << 22  # matrix entries of the linear system kernel_finite_support solves
 
 
 @functools.lru_cache(maxsize=None)  # make() runs in the inner loops of the ring arithmetic
@@ -60,8 +64,8 @@ class GroupRingElement:
         return cls.make(group, p, {})
 
     @classmethod
-    def delta(cls, group: Group, p: int, g: Element, c: int = 1) -> "GroupRingElement":
-        return cls.make(group, p, {g: c})
+    def delta(cls, group: Group, p: int, g: Element) -> "GroupRingElement":
+        return cls.make(group, p, {g: 1})
 
     def support(self) -> FiniteSubset:
         return tuple(g for g, _ in self.coeffs)
@@ -175,15 +179,16 @@ def vector_alphabet(p: int, d: int) -> Alphabet:
     return Alphabet(symbols)
 
 
-def to_cellular_automaton(M: MatrixCA, cap: int = 1 << 20) -> CellularAutomaton:
-    """Tabulate the linear rule as an ordinary dense-table automaton."""
+def to_cellular_automaton(M: MatrixCA) -> CellularAutomaton:
+    """Tabulate the linear rule as an ordinary dense-table automaton, at
+    most ``_LINEAR_TABULATION_CAP`` entries."""
     S = M.memory_set()
     p, d = M.p, M.d
     alphabet = vector_alphabet(p, d)
     a = len(alphabet)
     total = a ** len(S)
-    if total > cap:
-        raise BudgetExceededError("linear rule tabulation", total, cap)
+    if total > _LINEAR_TABULATION_CAP:
+        raise BudgetExceededError("linear rule tabulation", total, _LINEAR_TABULATION_CAP)
     mats = [M.coefficient_matrix(s) for s in S]
 
     def rule(window):
@@ -195,7 +200,7 @@ def to_cellular_automaton(M: MatrixCA, cap: int = 1 << 20) -> CellularAutomaton:
                 acc[i] += sum(row[j] * vec[j] for j in range(d))
         return values_to_index(p, [c % p for c in acc])
 
-    return CellularAutomaton.from_local_rule(M.group, alphabet, alphabet, S, rule, cap=cap)
+    return CellularAutomaton.from_local_rule(M.group, alphabet, alphabet, S, rule)
 
 
 # -- direct linear application (independent of the table path) ---------------------
@@ -269,10 +274,9 @@ def _kernel_basis(rows: List[List[int]], p: int, ncols: int) -> List[List[int]]:
     return basis
 
 
-def kernel_finite_support(
-    M: MatrixCA, radius: int, cap: int = 1 << 22
-) -> List[Dict[Element, Vector]]:
-    """Basis of configurations supported in the ball B_R with tau(x) = 0.
+def kernel_finite_support(M: MatrixCA, radius: int) -> List[Dict[Element, Vector]]:
+    """Basis of configurations supported in the ball B_R with tau(x) = 0;
+    refuses a system of more than ``_KERNEL_CAP`` matrix entries.
 
     Sound as a global statement: a configuration supported in B_R has zero
     image everywhere iff it vanishes on B_R S^-1, since windows not meeting
@@ -286,8 +290,8 @@ def kernel_finite_support(
     d, p = M.d, M.p
     ncols = len(domain) * d
     nrows = len(out_region) * d
-    if ncols * nrows > cap:
-        raise BudgetExceededError("kernel solve", ncols * nrows, cap)
+    if ncols * nrows > _KERNEL_CAP:
+        raise BudgetExceededError("kernel solve", ncols * nrows, _KERNEL_CAP)
     col_of = {g: k for k, g in enumerate(domain)}
     rows = []
     for g in out_region:
@@ -346,8 +350,6 @@ def duality_check(M: MatrixCA) -> DualityReport:
     a violation here is a fatal bug, not an expected outcome."""
     if not isinstance(M.group, Zd) or M.group.d != 1:
         raise GroupMismatchError("duality_check decides over Z only")
-    from .decide1d import decide_preinjective, decide_surjective
-
     tau = to_cellular_automaton(M)
     tau_star = to_cellular_automaton(adjoint(M))
     return DualityReport(

@@ -149,15 +149,12 @@ def pattern_index(alphabet: Alphabet, p: Pattern) -> int:
     return values_to_index(len(alphabet), p.values)
 
 
-def enumerate_patterns(
-    alphabet: Alphabet,
-    support: FiniteSubset,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[Pattern]:
-    """All |A|^|support| patterns in index order; refuses to start past the cap."""
+def enumerate_patterns(alphabet: Alphabet, support: FiniteSubset) -> Iterator[Pattern]:
+    """All |A|^|support| patterns in index order; refuses to start past
+    ``DEFAULT_ENUMERATION_CAP``."""
     total = pattern_count(alphabet, support)
-    if total > cap:
-        raise BudgetExceededError("pattern enumeration", total, cap)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise BudgetExceededError("pattern enumeration", total, DEFAULT_ENUMERATION_CAP)
     support = tuple(support)
     for vals in itertools.product(range(len(alphabet)), repeat=len(support)):
         yield Pattern(support, vals)

@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from . import automaton as am
@@ -24,7 +23,15 @@ from . import goe_search as gs
 from . import linear_ca as lc
 from . import subshift as sub
 from .groups import FreeGroup, Zd
-from .patterns import Alphabet, BINARY, Pattern, word_to_pattern
+from .patterns import (
+    Alphabet,
+    BINARY,
+    Pattern,
+    enumerate_patterns,
+    pattern_index,
+    pattern_to_word,
+    word_to_pattern,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -39,7 +46,6 @@ class Row:
 # -- shared fixtures ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def fiorenzi_even_ca() -> am.CellularAutomaton:
     S = tuple((c,) for c in range(5))
 
@@ -51,14 +57,12 @@ def fiorenzi_even_ca() -> am.CellularAutomaton:
     return am.CellularAutomaton.from_local_rule(Zd(1), BINARY, BINARY, S, rule)
 
 
-@lru_cache(maxsize=None)
 def fiorenzi_ternary_sft() -> sub.SFTPresentation:
     A3 = Alphabet.of_size(3)
     forb = (word_to_pattern(A3, "01"), word_to_pattern(A3, "02"))
     return sub.SFTPresentation(Zd(1), A3, forb)
 
 
-@lru_cache(maxsize=None)
 def fiorenzi_ternary_ca() -> am.CellularAutomaton:
     A3 = Alphabet.of_size(3)
     S = ((-1,), (0,))
@@ -72,7 +76,6 @@ def fiorenzi_ternary_ca() -> am.CellularAutomaton:
     return am.CellularAutomaton.from_local_rule(Zd(1), A3, A3, S, rule)
 
 
-@lru_cache(maxsize=None)
 def golden_even_ca() -> am.CellularAutomaton:
     # restriction of Rule 153 (equivalently Rule 17) to the golden mean shift
     table = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
@@ -81,7 +84,6 @@ def golden_even_ca() -> am.CellularAutomaton:
     )
 
 
-@lru_cache(maxsize=None)
 def moore_myhill_sweep() -> Tuple[int, ...]:
     """Rules where surjectivity and pre-injectivity disagree (must be empty)."""
     bad = []
@@ -151,8 +153,6 @@ def _cube_defect() -> bool:
 
 
 def _word_bridge() -> bool:
-    from .patterns import pattern_to_word
-
     p = word_to_pattern(BINARY, "01001")
     return p.support == tuple((i,) for i in range(5)) and pattern_to_word(BINARY, p) == (
         "01001",
@@ -161,8 +161,6 @@ def _word_bridge() -> bool:
 
 
 def _enumeration() -> bool:
-    from .patterns import enumerate_patterns, pattern_index
-
     A3 = Alphabet.of_size(3)
     support = tuple((i,) for i in range(4))
     pats = list(enumerate_patterns(A3, support))

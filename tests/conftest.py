@@ -333,3 +333,54 @@ def separate_decide_injective(ca, X=None, budget=decide1d.DEFAULT_PAIR_BUDGET):
     if not decide1d.verify_injectivity_witness(ca, pres, witness):
         raise RuntimeError(f"injectivity witness failed re-verification: {witness!r}")
     return decide1d.Verdict(False, witness, detail=(("witness_verified", True),))
+
+
+# -- the subshift ME check with a dict of flag sets per pair state, kept as the
+# reference for the search over (pair state, dirty) states -------------------------
+
+
+def reference_me_check_subshift(ca, X, p1, p2, budget=decide1d.DEFAULT_PAIR_BUDGET):
+    """Exact ME test over a sofic domain (None: the full shift) for patterns
+    on a common interval: some pair of domain configurations carries p1/p2
+    and agrees elsewhere (MEP-1), and every such pair has equal images (MEP-2)."""
+    if p1.support != p2.support:
+        raise ValueError("ME patterns need a common support")
+    cells = [g[0] for g in p1.support]
+    if cells != list(range(cells[0], cells[0] + len(cells))):
+        raise ValueError("the subshift ME check needs an interval support")
+    ca, pres = decide1d._domain(ca, X, budget)
+    lift = decide1d.DeBruijnLift(ca, pres, budget)
+    left_inf, right_inf = decide1d._PairGraph(lift, budget).sync_tails()
+    n = lift.num_states
+    lift_out = lift.out
+
+    def step(frontier, want1, want2):
+        nxt = {}
+        for state, flags in frontier.items():
+            i, j = divmod(state, n)
+            for a1, o1, t1 in lift_out[i]:
+                if want1 is not None and a1 != want1:
+                    continue
+                for a2, o2, t2 in lift_out[j]:
+                    if want2 is not None and a2 != want2:
+                        continue
+                    if want1 is None and a1 != a2:
+                        continue
+                    bad = o1 != o2
+                    got = nxt.setdefault(t1 * n + t2, set())
+                    for f in flags:
+                        got.add(f or bad)
+        return nxt
+
+    frontier = {s: {False} for s in sorted(left_inf)}
+    for v1, v2 in zip(p1.values, p2.values):
+        frontier = step(frontier, v1, v2)
+        if not frontier:
+            return False  # the patterns do not jointly embed: (MEP-1) fails
+    for _ in range(len(ca.memory_set) - 1):
+        frontier = step(frontier, None, None)
+        if not frontier:
+            return False
+    clean = any(s in right_inf and False in flags for s, flags in frontier.items())
+    dirty = any(s in right_inf and True in flags for s, flags in frontier.items())
+    return clean and not dirty

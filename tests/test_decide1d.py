@@ -11,6 +11,7 @@ from conftest import (
     eager_sofic_compare,
     make_fiorenzi_even_ca,
     make_golden_even_ca,
+    reference_me_check_subshift,
     separate_decide_injective,
     separate_decide_preinjective,
 )
@@ -33,6 +34,12 @@ from goelab.decide1d import (
 from goelab.entropy import perron_entropy
 from goelab.errors import BudgetExceededError
 from goelab.groups import Zd
+from goelab.linear_ca import (
+    GroupRingElement,
+    MatrixCA,
+    kernel_finite_support,
+    to_cellular_automaton,
+)
 from goelab.patterns import Alphabet, BINARY, Pattern, render_word, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
@@ -546,6 +553,37 @@ def test_me_check_subshift_matches_the_window_me_check():
     assert 0 < sum(answers) < len(answers)
 
 
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def test_me_check_subshift_matches_the_flag_set_reference():
+    # the (pair state, dirty) search against the dict of flag sets it replaced,
+    # on sofic domains too; one draw in twenty puts q on another support
+    rng = random.Random(61)
+    outcomes = []
+    for _ in range(300):
+        a = rng.choice((2, 3))
+        ca = random_ca(rng, a, max_width=3 if a == 2 else 2)
+        domains = [None, _random_graph(rng, ca.input_alphabet)]
+        if a == 2:
+            domains += [golden_mean(), even_shift()]
+        X = rng.choice(domains)
+        for _ in range(10):
+            offset, length = rng.randint(-2, 2), rng.randint(1, 5)
+            support = tuple((offset + i,) for i in range(length))
+            p = Pattern(support, tuple(rng.randrange(a) for _ in support))
+            if rng.random() < 0.05:
+                support = tuple((c + 1,) for (c,) in support)
+            q = Pattern(support, tuple(rng.randrange(a) for _ in support))
+            outcomes.append(_outcome(me_check_subshift, ca, X, p, q))
+            assert outcomes[-1] == _outcome(reference_me_check_subshift, ca, X, p, q)
+    assert {o if isinstance(o, bool) else o[0] for o in outcomes} == {True, False, ValueError}
+
+
 def test_garden_of_eden_equivalence_on_ternary_rules():
     # the surjective iff pre-injective equivalence is alphabet-independent
     rng = random.Random(41)
@@ -698,6 +736,37 @@ def test_lift_budget_is_checked_before_the_lift_is_built():
     # 8 golden words of length 4
     lift = DeBruijnLift(interval_ca(2, 4, [0] * 16), presentation_of(golden_mean()), budget=8)
     assert lift.num_states == 8
+
+
+def _linear_rule(*cells):
+    return MatrixCA.make(Z, 2, [[GroupRingElement.make(Z, 2, {(c,): 1 for c in cells})]])
+
+
+def _never_called(*args):
+    pytest.fail("a candidate was evaluated past the cap")
+
+
+@pytest.mark.parametrize(
+    "call, what, requested, budget",
+    [
+        (lambda: count_preimages(wolfram_rule(232), "0" * 30),
+         "preimage enumeration", 1 << 32, 1 << 24),
+        (lambda: preimage_histogram(wolfram_rule(232), 30),
+         "preimage enumeration", 1 << 32, 1 << 24),
+        (lambda: kernel_finite_support(_linear_rule(0, 1), 1500),
+         "kernel solve", 9009002, 1 << 22),
+        (lambda: to_cellular_automaton(_linear_rule(*range(21))),
+         "linear rule tabulation", 1 << 21, 1 << 20),
+        (lambda: CellularAutomaton.from_local_rule(
+            Z, BINARY, BINARY, tuple((c,) for c in range(25)), _never_called),
+         "rule tabulation", 1 << 25, 1 << 24),
+    ],
+)
+def test_fixed_caps_refuse_before_enumerating(monkeypatch, call, what, requested, budget):
+    monkeypatch.setattr(decide1d, "slide", _never_called)
+    with pytest.raises(BudgetExceededError) as info:
+        call()
+    assert (info.value.what, info.value.requested, info.value.budget) == (what, requested, budget)
 
 
 def _gap12_decisions():
