@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .automaton import CellularAutomaton, minimal_memory_set
 from .errors import BudgetExceededError, GroupMismatchError
 from .groups import Zd
-from .patterns import Pattern, parse_word, render_word, values_to_index
+from .patterns import Pattern, _check_me_pair, parse_word, render_word, values_to_index
 from .subshift import (
     SoficPresentation1D,
     _live,
@@ -491,8 +491,7 @@ def me_check_subshift(
     """Exact ME test over a sofic domain (None: the full shift) for patterns
     on a common interval: some pair of domain configurations carries p1/p2
     and agrees elsewhere (MEP-1), and every such pair has equal images (MEP-2)."""
-    if p1.support != p2.support:
-        raise ValueError("ME patterns need a common support")
+    _check_me_pair(ca.input_alphabet, p1, p2)
     cells = [g[0] for g in p1.support]
     if cells != list(range(cells[0], cells[0] + len(cells))):
         raise ValueError("the subshift ME check needs an interval support")

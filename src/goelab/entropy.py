@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import add, mul, truediv
+from typing import List, Optional, Sequence, Tuple
 
 from .automaton import CellularAutomaton
 from .decide1d import _domain, decide_surjective, image_presentation
@@ -26,7 +29,7 @@ from .subshift import (
     SFTPresentation,
     SoficPresentation1D,
     _automaton_graph,
-    _strongly_connected_components,
+    _components,
     _word_counts,
     determinize,
     language_count,
@@ -38,7 +41,7 @@ from .subshift import (
 _PERRON_TOL = 1e-9  # width of the Collatz bracket that ends the power iteration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntropyEstimate:
     """Window-count series: rows (n, count, cells, estimate in nats)."""
 
@@ -107,20 +110,35 @@ def _spectral_radius(rows: List[List[Tuple[int, int]]]) -> float:
     ratios are within ``_PERRON_TOL``.
 
     Row i of M is ``rows[i]``, its nonzero entries as (column, count) pairs
-    in ascending column order.  Each row sum adds the same nonzero terms in
-    the same order as a dense loop would (the dense loop's other terms are
-    exact zeros), so the result does not depend on the storage.
+    in ascending column order.  They are stored by column position: for
+    each k below the widest row, ``cols[k]`` holds the k-th column of every
+    row and ``counts[k]`` its count as a float, and a shorter row points at
+    a trailing ``0.0`` slot of the vector.  A step is then a few C-level
+    passes, products for k = 0 first and each later k added in turn.  Each
+    row adds the same nonzero products in the same order as a dense loop
+    from left to right (a pad adds an exact zero, as do the dense loop's
+    other terms) and no ``sum()`` is taken, whose float algorithm changed in
+    Python 3.12, so the result depends neither on the storage nor on the
+    Python version.
     """
     n = len(rows)
     if n == 0:
         return 0.0
-    v = [1.0] * n
+    width = max(map(len, rows))
+    cols = [[row[k][0] if k < len(row) else n for row in rows] for k in range(width)]
+    counts = [[float(row[k][1]) if k < len(row) else 0.0 for row in rows] for k in range(width)]
+    v = [1.0] * n + [0.0]
     for _ in range(100000):
-        w = [sum(c * v[j] for j, c in row) + v[i] for i, row in enumerate(rows)]
-        ratios = [w[i] / v[i] for i in range(n)]
+        get = v.__getitem__
+        acc = map(mul, counts[0], map(get, cols[0]))
+        for col, cnt in zip(cols[1:], counts[1:]):
+            acc = map(add, acc, map(mul, cnt, map(get, col)))
+        w = list(map(add, acc, v))  # the maps chained above run here, row by row
+        ratios = list(map(truediv, w, v))
         lo, hi = min(ratios), max(ratios)
         norm = max(w)
-        v = [x / norm for x in w]
+        v = list(map(truediv, w, repeat(norm, n)))
+        v.append(0.0)
         if hi - lo < _PERRON_TOL:
             return (lo + hi) / 2.0 - 1.0
     raise RuntimeError("power iteration failed to bracket the spectral radius")
@@ -132,28 +150,25 @@ def perron_entropy(X) -> float:
 
     On a non-strongly-connected graph the value is the maximum over the
     strongly connected components.  Returns -inf for an empty language.
-    The iteration runs over sparse rows, O(edges) per step and O(edges)
-    memory, never over an n x n matrix.
+    The iteration runs over the sparse rows stored as columns, padded to
+    the widest row, which has at most |A| entries in a deterministic graph:
+    O(n |A|) per step and memory, never an n x n matrix.  Its floats are
+    those of the dense loop from left to right, bit for bit and on every
+    Python version: the same products in the same order, exact-zero pads,
+    and no ``sum()`` (see ``_spectral_radius``).
     """
     return _graph_entropy(determinize(presentation_of(X)))
 
 
 def _graph_entropy(pres: SoficPresentation1D) -> float:
     """log of the spectral radius of a deterministic presentation."""
-    n = pres.num_vertices
-    if n == 0:
-        return float("-inf")
-    succ: List[Dict[int, int]] = [{} for _ in range(n)]  # successor -> edge count
-    for u, v, _ in pres.edges:
-        succ[u][v] = succ[u].get(v, 0) + 1
+    adj, comps = _components(pres)  # adj[u]: the head of each edge out of u, ascending
     best = 0.0
-    for comp in _strongly_connected_components(n, [list(row) for row in succ]):
-        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+    for comp in comps:
+        if len(comp) == 1 and comp[0] not in adj[comp[0]]:
             continue
         local = {u: k for k, u in enumerate(comp)}
-        rows = [
-            sorted((local[v], c) for v, c in succ[u].items() if v in local) for u in comp
-        ]
+        rows = [sorted(Counter(local[v] for v in adj[u] if v in local).items()) for u in comp]
         best = max(best, _spectral_radius(rows))
     if best <= 0.0:
         return float("-inf")
@@ -163,7 +178,7 @@ def _graph_entropy(pres: SoficPresentation1D) -> float:
 # -- inequalities -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageEntropyReport:
     rows: Tuple[Tuple[int, int, int], ...]  # (n, image count, domain count on F_n S)
     violations: int
@@ -195,12 +210,12 @@ def image_entropy_check(
     Each subset automaton is built once: one transfer over it counts the
     words of every length needed, and the Perron iteration reads it too.
     """
-    ca, domain = _domain(ca, X, DEFAULT_STATE_BUDGET)
-    image = image_presentation(ca, domain)
-    w = len(ca.memory_set)
     ns = list(ns)
     if any(n + 1 < 0 for n in ns):
         raise ValueError("length must be >= 0")
+    ca, domain = _domain(ca, X, DEFAULT_STATE_BUDGET)
+    image = image_presentation(ca, domain)
+    w = len(ca.memory_set)
     image_auto, domain_auto = subset_automaton(image), subset_automaton(domain)
     longest = max(ns, default=0)
     image_counts = _word_counts(image_auto, longest + 1)

@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Tuple
 from .automaton import CellularAutomaton
 from .errors import BudgetExceededError, GroupMismatchError
 from .groups import FiniteSubset, Zd
-from .patterns import Pattern
+from .patterns import Pattern, _check_me_pair
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,7 @@ def me_check(ca: CellularAutomaton, p1: Pattern, p2: Pattern,
     classical majority-vote ME pair is quoted on words 00000/00100; their
     support here is the full five-cell interval.)
     """
-    if p1.support != p2.support:
-        raise ValueError("ME patterns need a common support")
+    _check_me_pair(ca.input_alphabet, p1, p2)
     if not isinstance(ca.group, Zd):
         raise GroupMismatchError("me_check needs Z^d")
     if p1.values == p2.values:

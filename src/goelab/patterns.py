@@ -91,6 +91,17 @@ class Pattern:
         return cls(support, tuple(mapping[g] for g in support))
 
 
+def _check_me_pair(alphabet: Alphabet, p1: Pattern, p2: Pattern) -> None:
+    """The input checks both ME tests make before any work: a common support
+    and values that are symbol indices of the automaton's input alphabet."""
+    if p1.support != p2.support:
+        raise ValueError("ME patterns need a common support")
+    a = len(alphabet)
+    for v in p1.values + p2.values:
+        if not (isinstance(v, int) and 0 <= v < a):
+            raise ValueError(f"ME pattern value {v!r} is not a symbol index in range({a})")
+
+
 def translate_pattern(group: Group, g: Element, p: Pattern) -> Pattern:
     """The shifted pattern gp with support g*supp(p) and gp(gh) = p(h)."""
     g = group.check(g)

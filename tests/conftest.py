@@ -384,3 +384,32 @@ def reference_me_check_subshift(ca, X, p1, p2, budget=decide1d.DEFAULT_PAIR_BUDG
     clean = any(s in right_inf and False in flags for s, flags in frontier.items())
     dirty = any(s in right_inf and True in flags for s, flags in frontier.items())
     return clean and not dirty
+
+
+# -- the Perron power iteration with one sum per row, kept as the reference for
+# the column passes of entropy._spectral_radius -------------------------------------
+
+
+def reference_spectral_radius(rows):
+    """Largest eigenvalue of a nonnegative irreducible integer matrix, by power
+    iteration on M + I until the min/max Collatz ratios are within 1e-9;
+    row i of M is ``rows[i]``, its (column, count) pairs in ascending column
+    order."""
+    n = len(rows)
+    if n == 0:
+        return 0.0
+    v = [1.0] * n
+    for _ in range(100000):
+        w = []
+        for i, row in enumerate(rows):
+            total = 0  # left to right, as sum() added floats through Python 3.11
+            for j, c in row:
+                total += c * v[j]
+            w.append(total + v[i])
+        ratios = [w[i] / v[i] for i in range(n)]
+        lo, hi = min(ratios), max(ratios)
+        norm = max(w)
+        v = [x / norm for x in w]
+        if hi - lo < 1e-9:
+            return (lo + hi) / 2.0 - 1.0
+    raise RuntimeError("power iteration failed to bracket the spectral radius")

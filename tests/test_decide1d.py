@@ -534,6 +534,24 @@ def test_me_check_routes_agree_on_the_full_shift():
     assert me_check_subshift(ca232, None, p1, p2)
 
 
+def test_me_checks_reject_a_value_outside_the_alphabet():
+    # both routes raise the same error before any work, also when the two
+    # patterns are equal and no extension would be read
+    from goelab.goe_search import me_check
+
+    ca = wolfram_rule(232)
+    bad, zero = Pattern(((0,),), (2,)), Pattern(((0,),), (0,))
+    calls = (
+        lambda: me_check(ca, bad, zero),
+        lambda: me_check(ca, bad, bad),
+        lambda: me_check_subshift(ca, None, bad, bad),
+        lambda: me_check_subshift(ca, None, zero, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"value 2 is not a symbol index in range\(2\)"):
+            call()
+
+
 def test_me_check_subshift_matches_the_window_me_check():
     # a pair-lift product against ME class refinement: independent routes,
     # here on intervals away from the origin and on ternary rules too

@@ -9,7 +9,6 @@ from goelab import entropy, subshift
 from goelab.automaton import CellularAutomaton, identity_ca, wolfram_rule
 from goelab.decide1d import image_presentation, normalize_interval
 from goelab.entropy import (
-    _strongly_connected_components,
     image_entropy_check,
     no_surjection_bigger_alphabet_check,
     pattern_count_entropy,
@@ -22,6 +21,7 @@ from goelab.patterns import Alphabet, BINARY, Pattern, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
     SoficPresentation1D,
+    _strongly_connected_components,
     determinize,
     even_shift,
     full_shift,
@@ -31,7 +31,7 @@ from goelab.subshift import (
     ledrappier,
     presentation_of,
 )
-from conftest import make_golden_even_ca
+from conftest import make_golden_even_ca, reference_spectral_radius
 
 Z = Zd(1)
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -43,6 +43,7 @@ def test_golden_estimate_near_log_phi():
     assert (count, cells) == (233, 11)
     assert abs(nats - math.log(233) / 11) < 1e-15
     assert abs(nats - LOG_PHI) < 0.02
+    assert not hasattr(est, "__dict__")  # slotted: a sweep keeps one per call
 
 
 def test_ledrappier_estimates_match_the_closed_form():
@@ -110,7 +111,8 @@ def test_pinned_perron_digest():
 
 def _dense_perron_entropy(X, tol=1e-9):
     """The dense n x n power iteration perron_entropy ran before its rows
-    went sparse, kept as the reference."""
+    went sparse, kept as the reference; each row is added with an explicit
+    loop, so its floats do not depend on the Python version."""
     pres = determinize(presentation_of(X))
     n = pres.num_vertices
     if n == 0:
@@ -129,7 +131,12 @@ def _dense_perron_entropy(X, tol=1e-9):
         m = len(comp)
         vec = [1.0] * m
         for _ in range(100000):
-            w = [sum(sub[i][j] * vec[j] for j in range(m)) + vec[i] for i in range(m)]
+            w = []
+            for i in range(m):
+                total = 0  # left to right, as sum() added floats through Python 3.11
+                for j in range(m):
+                    total += sub[i][j] * vec[j]
+                w.append(total + vec[i])
             ratios = [w[i] / vec[i] for i in range(m)]
             lo, hi = min(ratios), max(ratios)
             norm = max(w)
@@ -161,6 +168,30 @@ def test_sparse_perron_equals_the_dense_iteration():
         compared += 1
 
 
+def _random_irreducible_rows(rng, n):
+    """Sparse rows of a random strongly connected integer matrix: a random
+    n-cycle, then up to 3 more distinct columns per row; counts 1-3."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [{} for _ in range(n)]
+    for i, u in enumerate(order):
+        rows[u][order[(i + 1) % n]] = rng.randint(1, 3)
+        for v in rng.sample(range(n), min(n, rng.randint(1, 4)) - 1):
+            rows[u].setdefault(v, rng.randint(1, 3))
+    return [sorted(row.items()) for row in rows]
+
+
+def test_column_passes_equal_the_row_sums():
+    rng = random.Random(31)
+    matrices = [[[(0, c)]] for c in (1, 2, 3)]  # one-vertex self-loop components
+    matrices += [_random_irreducible_rows(rng, rng.randint(1, 40)) for _ in range(450)]
+    matrices += [_random_irreducible_rows(rng, rng.randint(41, 300)) for _ in range(50)]
+    degrees = {len(row) for rows in matrices for row in rows}
+    assert degrees == {1, 2, 3, 4} and max(map(len, matrices)) > 250
+    for rows in matrices:
+        assert entropy._spectral_radius(rows) == reference_spectral_radius(rows)
+
+
 def test_estimates_dominate_perron_with_small_final_gap():
     for X in (golden_mean(), even_shift()):
         exact = perron_entropy(X)
@@ -173,6 +204,7 @@ def test_estimates_dominate_perron_with_small_final_gap():
 def test_image_entropy_rule_232():
     report = image_entropy_check(wolfram_rule(232))
     assert report.ok
+    assert not hasattr(report, "__dict__")
     assert report.image_perron < math.log(2) - 0.01
 
 
@@ -230,6 +262,17 @@ def test_image_entropy_check_builds_each_subset_automaton_once(monkeypatch):
             report = image_entropy_check(ca, X, range(1, 9))
         assert len(built) == 2  # the image and the domain, once each
         assert (report.rows, report.domain_perron, report.image_perron) == (rows, *perrons)
+
+
+def test_image_entropy_check_validates_ns_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built before the lengths were checked")
+
+    monkeypatch.setattr(entropy, "_domain", unreachable)
+    monkeypatch.setattr(entropy, "image_presentation", unreachable)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        image_entropy_check(wolfram_rule(232), None, [3, -2])
+
 
 def test_no_surjection_onto_bigger_alphabet():
     report = no_surjection_bigger_alphabet_check(2, 3, trials=25, seed=0)
