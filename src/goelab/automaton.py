@@ -48,7 +48,8 @@ class CellularAutomaton:
             )
         if any(not (0 <= v < len(self.output_alphabet)) for v in self.table):
             raise ValueError("table entry out of output-alphabet range")
-        object.__setattr__(self, "memory_set", self.group.canon(self.memory_set))
+        S = self.group.canon(map(self.group.check, self.memory_set))
+        object.__setattr__(self, "memory_set", S)
 
     @classmethod
     def from_local_rule(
@@ -88,12 +89,13 @@ def identity_ca(group: Group, alphabet: Alphabet) -> CellularAutomaton:
 def apply_to_pattern(ca: CellularAutomaton, p: Pattern) -> Pattern:
     """Image pattern on the interior {g : gS inside supp(p)}; may be empty."""
     group = ca.group
-    values = p.as_dict()
+    mul = group._mul
+    values = dict(zip(map(group.check, p.support), p.values))
     out = {}
-    for g in p.support:
+    for g in values:
         window = []
         for s in ca.memory_set:
-            v = values.get(group.mul(g, s))
+            v = values.get(mul(g, s))
             if v is None:
                 break
             window.append(v)
@@ -105,14 +107,18 @@ def apply_to_pattern(ca: CellularAutomaton, p: Pattern) -> Pattern:
 def apply_to_finite_config(ca: CellularAutomaton, x: FiniteConfig) -> FiniteConfig:
     """Exact image; the deviation support is contained in supp(x) S^-1."""
     group = ca.group
-    out_bg = ca.local_rule([x.background] * len(ca.memory_set))
+    mul = group._mul
+    inverses = [group.inverse(s) for s in ca.memory_set]
+    values = dict(zip(map(group.check, x.support), x.deviation.values))
+    bg = x.background
+    out_bg = ca.local_rule([bg] * len(ca.memory_set))
     cells = {}
-    for h in x.support:
-        for s in ca.memory_set:
-            g = group.mul(h, group.inverse(s))
+    for h in values:
+        for s in inverses:
+            g = mul(h, s)
             if g in cells:
                 continue
-            window = [x.value_at(group.mul(g, t)) for t in ca.memory_set]
+            window = [values.get(mul(g, t), bg) for t in ca.memory_set]
             cells[g] = ca.local_rule(window)
     return FiniteConfig.make(group, out_bg, cells)
 
@@ -143,15 +149,13 @@ def compose(outer: CellularAutomaton, inner: CellularAutomaton) -> CellularAutom
     group = inner.group
     S = group.set_product(outer.memory_set, inner.memory_set)
     pos = {g: i for i, g in enumerate(S)}
-    a = len(inner.input_alphabet)
+    # the window positions each outer cell's inner rule reads
+    reads = [
+        [pos[group._mul(s, t)] for t in inner.memory_set] for s in outer.memory_set
+    ]
 
     def rule(window):
-        mids = []
-        for s in outer.memory_set:
-            inner_window = [
-                window[pos[group.mul(s, t)]] for t in inner.memory_set
-            ]
-            mids.append(inner.local_rule(inner_window))
+        mids = [inner.local_rule([window[i] for i in at]) for at in reads]
         return outer.local_rule(mids)
 
     return CellularAutomaton.from_local_rule(

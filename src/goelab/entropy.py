@@ -304,7 +304,7 @@ def tiling_entropy_bound_check(
     reported as not applicable.  Over Z the tile must be an interval.
     """
     group = _group_of(X)
-    E = group.canon(E)
+    E = group.canon(map(group.check, E))
     a = len(X.alphabet)
     tile_count = _count_on(X, E)  # window counts are shift invariant: |X_tE| = |X_E|
     if tile_count >= a ** len(E):
@@ -317,7 +317,7 @@ def tiling_entropy_bound_check(
         T, _ = greedy_tiling(group, E, window)
         tiled = set()
         for t in T:
-            tiled.update(group.mul(t, e) for e in E)
+            tiled.update(group._mul(t, e) for e in E)
         f_star = len(window) - len(tiled)
         lhs = math.log(_count_on(X, window))
         rhs = f_star * math.log(a)

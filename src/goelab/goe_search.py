@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -67,7 +66,8 @@ def window_schedule(d: int, budget: SearchBudget) -> Iterator[FiniteSubset]:
 def _reads(group: Zd, cells, S: FiniteSubset) -> list:
     """g*S for each cell g, in memory-set order; elements are checked once."""
     S = [group.check(s) for s in S]
-    return [[tuple(map(operator.add, g, s)) for s in S] for g in map(group.check, cells)]
+    mul = group._mul
+    return [[mul(g, s) for s in S] for g in map(group.check, cells)]
 
 
 def image_pattern_set(

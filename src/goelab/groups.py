@@ -10,11 +10,19 @@ Group elements are plain tuples of ints:
 Finite subsets are duplicate-free tuples sorted under the group's canonical
 total order (lexicographic on vectors, shortlex on words), which makes every
 enumeration downstream deterministic.
+
+Elements are validated at the boundary: in constructors (a memory set, a
+forbidden pattern, a group-ring element), in the JSON readers, and in the
+public group methods (``mul``, ``inverse``, ``translate``, ``set_product``,
+``folner_defect``), each of which checks every argument once.  ``_mul`` is
+the bare arithmetic, for elements already checked; the kernels check their
+inputs once at entry and call it in their inner loops.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -42,6 +50,10 @@ class Group:
     def mul(self, g: Element, h: Element) -> Element:
         raise NotImplementedError
 
+    def _mul(self, g: Element, h: Element) -> Element:
+        """The product of two elements already checked."""
+        raise NotImplementedError
+
     def inverse(self, g: Element) -> Element:
         raise NotImplementedError
 
@@ -61,14 +73,14 @@ class Group:
     def set_product(self, A: Iterable[Element], B: Iterable[Element]) -> FiniteSubset:
         A = [self.check(a) for a in A]
         B = [self.check(b) for b in B]
-        return self.canon(self.mul(a, b) for a in A for b in B)
+        return self.canon(self._mul(a, b) for a in A for b in B)
 
     def set_inverse(self, A: Iterable[Element]) -> FiniteSubset:
         return self.canon(self.inverse(a) for a in A)
 
     def translate(self, g: Element, A: Iterable[Element]) -> FiniteSubset:
         g = self.check(g)
-        return self.canon(self.mul(g, a) for a in A)
+        return self.canon(self._mul(g, self.check(a)) for a in A)
 
     def sphere_size(self, n: int) -> int:
         """|B_n| - |B_{n-1}|: number of elements at distance exactly n."""
@@ -84,7 +96,7 @@ class Group:
             raise ValueError("defect of the empty set is undefined")
         g = self.check(g)
         Fset = {self.check(f) for f in F}
-        Fg = {self.mul(f, g) for f in Fset}
+        Fg = {self._mul(f, g) for f in Fset}
         return Fraction(len(Fset - Fg), len(Fset))
 
     def ball_sizes(self, n_max: int) -> list:
@@ -125,9 +137,10 @@ class Zd(Group):
         )
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
-        return tuple(a + b for a, b in zip(g, h))
+        return self._mul(self.check(g), self.check(h))
+
+    def _mul(self, g, h):
+        return tuple(map(operator.add, g, h))
 
     def inverse(self, g):
         self.check(g)
@@ -200,8 +213,9 @@ class FreeGroup(Group):
         return True
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        return self._mul(self.check(g), self.check(h))
+
+    def _mul(self, g, h):
         out = list(g)
         for letter in h:
             if out and out[-1] == -letter:
@@ -214,20 +228,15 @@ class FreeGroup(Group):
         self.check(g)
         return tuple(-letter for letter in reversed(g))
 
-    def _letter_key(self, letter: int):
-        return (abs(letter), 0 if letter > 0 else 1)
-
     def sort_key(self, g):
-        return (len(g), tuple(self._letter_key(c) for c in g))
+        # shortlex with the letters ordered a, a', b, b', ...
+        return (len(g), tuple([2 * abs(x) + (x < 0) for x in g]))
 
     def ball(self, n: int) -> FiniteSubset:
         """Shortlex-ordered reduced words of length <= n."""
         if n < 0:
             raise ValueError("radius must be >= 0")
-        letters = sorted(
-            [i for i in range(1, self.rank + 1)] + [-i for i in range(1, self.rank + 1)],
-            key=self._letter_key,
-        )
+        letters = [x for i in range(1, self.rank + 1) for x in (i, -i)]
         words = [()]
         frontier = [()]
         for _ in range(n):

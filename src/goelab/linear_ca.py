@@ -209,19 +209,18 @@ def to_cellular_automaton(M: MatrixCA) -> CellularAutomaton:
 def apply_linear(M: MatrixCA, x: Dict[Element, Vector]) -> Dict[Element, Vector]:
     """tau(x)(g) = sum_s M_s x(g s) on a finitely supported configuration."""
     group = M.group
+    mul = group._mul
     S = M.memory_set()
+    mats = [M.coefficient_matrix(s) for s in S]
+    inverses = [group.inverse(s) for s in S]
     out: Dict[Element, Vector] = {}
-    candidates = set()
-    for h in x:
-        for s in S:
-            candidates.add(group.mul(h, group.inverse(s)))
+    candidates = {mul(h, s) for h in map(group.check, x) for s in inverses}
     for g in sorted(candidates, key=group.sort_key):
         acc = [0] * M.d
-        for s in S:
-            vec = x.get(group.mul(g, s))
+        for s, mat in zip(S, mats):
+            vec = x.get(mul(g, s))
             if vec is None:
                 continue
-            mat = M.coefficient_matrix(s)
             for i in range(M.d):
                 acc[i] += sum(mat[i][j] * vec[j] for j in range(M.d))
         vec = tuple(c % M.p for c in acc)
@@ -293,13 +292,14 @@ def kernel_finite_support(M: MatrixCA, radius: int) -> List[Dict[Element, Vector
     if ncols * nrows > _KERNEL_CAP:
         raise BudgetExceededError("kernel solve", ncols * nrows, _KERNEL_CAP)
     col_of = {g: k for k, g in enumerate(domain)}
+    mats = [M.coefficient_matrix(s) for s in S]
     rows = []
     for g in out_region:
         blocks = []
-        for s in S:
-            h = group.mul(g, s)
+        for s, mat in zip(S, mats):
+            h = group._mul(g, s)
             if h in col_of:
-                blocks.append((col_of[h], M.coefficient_matrix(s)))
+                blocks.append((col_of[h], mat))
         for i in range(d):
             row = [0] * ncols
             for k, mat in blocks:

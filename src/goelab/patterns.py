@@ -105,7 +105,7 @@ def _check_me_pair(alphabet: Alphabet, p1: Pattern, p2: Pattern) -> None:
 def translate_pattern(group: Group, g: Element, p: Pattern) -> Pattern:
     """The shifted pattern gp with support g*supp(p) and gp(gh) = p(h)."""
     g = group.check(g)
-    moved = {group.mul(g, h): v for h, v in zip(p.support, p.values)}
+    moved = {group._mul(g, group.check(h)): v for h, v in zip(p.support, p.values)}
     return Pattern.from_dict(group, moved)
 
 

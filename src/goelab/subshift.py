@@ -595,15 +595,19 @@ def _placements(
 ) -> List[Tuple[int, ...]]:
     """Window indices of every translate of ``support`` that lies inside the
     window, aligned with ``support``; a translate is found from the cell its
-    first point moves to."""
+    first point moves to.  The window and the support must be checked
+    elements of the group (``locally_admissible_count`` checks the window,
+    the ``SFTPresentation`` constructor the supports): the products are taken
+    with the unchecked ``group._mul``."""
     cells = {g: i for i, g in enumerate(window)}
+    mul = group._mul
     back = group.inverse(support[0])
-    offsets = [group.mul(back, h) for h in support]
+    offsets = [mul(back, h) for h in support]
     placements = []
     for g in window:
         positions = []
         for r in offsets:
-            i = cells.get(group.mul(g, r))
+            i = cells.get(mul(g, r))
             if i is None:
                 break
             positions.append(i)
@@ -689,7 +693,12 @@ def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int
     placement is checked at its last cell.  A state is an integer in which
     each frontier cell owns a bit field from the step that adds it to the
     last step that reads it.  A value that a one-cell pattern forbids is
-    never tried, and no placement that needs one is kept."""
+    never tried, and no placement that needs one is kept.
+
+    Every check due at a step reads the cell that step adds, so for each
+    value v of that cell only the checks that want v there can match; the
+    others are not tried, and a value no check wants folds the states
+    without testing them."""
     a = len(sft.alphabet)
     banned = {p.values[0] for p in sft.forbidden if len(p.support) == 1}
     allowed = [v for v in range(a) if v not in banned]
@@ -708,22 +717,28 @@ def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int
     counts = {0: 1}
     for t, cell in enumerate(order):
         at = shift[cell] = free.pop()
-        checks = []
+        checks: Dict[int, list] = {}  # by the value they want in the new cell
         for positions, values in due[t]:
             mask = want = 0
             for i, v in zip(positions, values):
                 mask |= field << shift[i]
                 want |= v << shift[i]
-            checks.append((mask, want))
+            checks.setdefault(want >> at & field, []).append((mask, want))
         for i in [i for i in shift if end[i] == t]:
             free.append(shift.pop(i))
         keep = sum(field << s for s in shift.values())
         nxt: Dict[int, int] = {}
         for v in allowed:
             new = v << at
+            wanted = checks.get(v)
+            if wanted is None:
+                for state, c in counts.items():
+                    state = (state | new) & keep
+                    nxt[state] = nxt.get(state, 0) + c
+                continue
             for state, c in counts.items():
                 state |= new
-                for mask, want in checks:
+                for mask, want in wanted:
                     if state & mask == want:
                         break
                 else:
@@ -743,7 +758,7 @@ def locally_admissible_count(
     work, |window| * a^(widest frontier + 1) with a the values that no
     one-cell pattern forbids, and is checked before any state is built.
     """
-    window = sft.group.canon(window)
+    window = sft.group.canon(map(sft.group.check, window))
     shapes = _parity_shapes(sft)
     if shapes is not None:
         return _parity_rank_count(sft.group, window, shapes)

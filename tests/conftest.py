@@ -13,6 +13,7 @@ from goelab.patterns import Alphabet, BINARY, render_word, word_to_pattern
 from goelab.subshift import (
     SFTPresentation,
     SoficPresentation1D,
+    _cell_order,
     _live,
     _merge_symbols,
     full_shift,
@@ -413,3 +414,77 @@ def reference_spectral_radius(rows):
         if hi - lo < 1e-9:
             return (lo + hi) / 2.0 - 1.0
     raise RuntimeError("power iteration failed to bracket the spectral radius")
+
+
+# -- the window placements on checked group arithmetic, and the transfer that
+# tries every due check on every value, kept as the references for the
+# placements on ``_mul`` and the transfer that filters the checks by value -------
+
+
+def reference_placements(group, window, support):
+    """Window indices of every translate of ``support`` that lies inside the
+    window, aligned with ``support``; a translate is found from the cell its
+    first point moves to."""
+    cells = {g: i for i, g in enumerate(window)}
+    back = group.inverse(support[0])
+    offsets = [group.mul(back, h) for h in support]
+    placements = []
+    for g in window:
+        positions = []
+        for r in offsets:
+            i = cells.get(group.mul(g, r))
+            if i is None:
+                break
+            positions.append(i)
+        else:
+            placements.append(tuple(positions))
+    return placements
+
+
+def reference_transfer_count(sft, window, cap):
+    """Cell-by-cell transfer over the window, every check due at a step tried
+    on every state; the window must be canonically ordered."""
+    a = len(sft.alphabet)
+    banned = {p.values[0] for p in sft.forbidden if len(p.support) == 1}
+    allowed = [v for v in range(a) if v not in banned]
+    embeddings = sorted(
+        {(at, p.values) for p in sft.forbidden
+         for at in reference_placements(sft.group, window, p.support)}
+    )
+    placements = [(at, vals) for at, vals in embeddings if banned.isdisjoint(vals)]
+    order, rank, end, width = _cell_order(sft.group, window, placements)
+    work = len(window) * len(allowed) ** (width + 1)
+    if work > cap:
+        raise BudgetExceededError("window transfer", work, cap)
+    bits = (a - 1).bit_length() or 1
+    field = (1 << bits) - 1
+    due = [[] for _ in order]
+    for positions, values in placements:
+        due[max(rank[i] for i in positions)].append((positions, values))
+    shift = {}
+    free = [bits * k for k in range(width, -1, -1)]
+    counts = {0: 1}
+    for t, cell in enumerate(order):
+        at = shift[cell] = free.pop()
+        checks = []
+        for positions, values in due[t]:
+            mask = want = 0
+            for i, v in zip(positions, values):
+                mask |= field << shift[i]
+                want |= v << shift[i]
+            checks.append((mask, want))
+        for i in [i for i in shift if end[i] == t]:
+            free.append(shift.pop(i))
+        keep = sum(field << s for s in shift.values())
+        nxt = {}
+        for v in allowed:
+            new = v << at
+            for state, c in counts.items():
+                state |= new
+                for mask, want in checks:
+                    if state & mask == want:
+                        break
+                else:
+                    nxt[state & keep] = nxt.get(state & keep, 0) + c
+        counts = nxt
+    return sum(counts.values())

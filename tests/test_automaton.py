@@ -15,6 +15,7 @@ from goelab.automaton import (
     wolfram_number,
     wolfram_rule,
 )
+from goelab.errors import GroupMismatchError
 from goelab.groups import FreeGroup, Zd
 from goelab.patterns import (
     BINARY,
@@ -37,6 +38,15 @@ def test_table_validation():
         CellularAutomaton(Z, BINARY, BINARY, ((0,),), (0, 1, 1))
     with pytest.raises(ValueError):
         CellularAutomaton(Z, BINARY, BINARY, ((0,),), (0, 2))
+
+
+def test_memory_set_from_another_group_is_refused():
+    # once accepted: apply_to_periodic then zipped the 2D torus coordinates
+    # with 1D shifts and returned cells (1, 1, 1, 1) with no error
+    with pytest.raises(GroupMismatchError):
+        CellularAutomaton(Zd(2), BINARY, BINARY, ((0,), (1,)), (0, 1, 1, 0))
+    with pytest.raises(GroupMismatchError):
+        CellularAutomaton(FreeGroup(2), BINARY, BINARY, ((1, -1),), (0, 1))
 
 
 def test_rule_102_table_is_mod2_sum():

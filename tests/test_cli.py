@@ -241,6 +241,11 @@ GOLDEN_EVEN_RULE = {
         ({**GOLDEN_EVEN_RULE, "memory_set": [[None], [1]]}, "(None,) is not an element of Zd(1)"),
         ({"wolfram": "30"}, "'wolfram' must be an integer, not str"),
         ({"wolfram": " 30 "}, "'wolfram' must be an integer, not str"),
+        ({**GOLDEN_EVEN_RULE, "memory_set": [[0, 0], [1]]}, "(0, 0) is not an element of Zd(1)"),
+        (
+            {**GOLDEN_EVEN_RULE, "group": {"type": "Free", "rank": 2}, "memory_set": ["", "aA"]},
+            "word 'aA' is not reduced",
+        ),
     ],
 )
 def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
@@ -272,6 +277,10 @@ def test_malformed_rule_json_is_an_input_error(tmp_path, capsys, rule, message):
         ({"builtin": "hard_ball:1500"}, "over the limit of 256"),
         ({"builtin": "hard_ball:257"}, "over the limit of 256"),
         ({"builtin": "full_shift:" + "9" * 5000}, "over the limit of 256"),
+        (
+            {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [{"support": [[0, 0]], "values": ["1"]}]},
+            "(0, 0) is not an element of Zd(1)",
+        ),
     ],
 )
 def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, message):
@@ -296,6 +305,7 @@ def test_malformed_domain_json_is_an_input_error(tmp_path, capsys, domain, messa
         ({"p": 3, "d": 2, "entries": [[{}]]}, "d x d matrix"),
         ({"p": 3, "d": 1, "entries": [[{"coeffs": [{"g": [None], "c": 1}]}]]}, "not an element"),
         ({"p": 3, "d": 1, "entries": [[{"coeffs": [{"g": [0], "c": "1"}]}]]}, "'c' must be an integer"),
+        ({"p": 3, "d": 1, "entries": [[{"coeffs": [{"g": [0, 1], "c": 1}]}]]}, "not an element"),
     ],
 )
 def test_malformed_matrix_json_is_an_input_error(tmp_path, capsys, matrix, message):

@@ -1,11 +1,21 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from goelab.automaton import (
+    CellularAutomaton,
+    apply_to_finite_config,
+    apply_to_pattern,
+    wolfram_rule,
+)
 from goelab.errors import GroupMismatchError, UnsupportedGroupError
+from goelab.goe_search import image_pattern_set
 from goelab.groups import FreeGroup, Zd
+from goelab.patterns import BINARY, FiniteConfig, Pattern, translate_pattern
+from goelab.subshift import SFTPresentation, hard_ball, locally_admissible_count
 
 
 F2 = FreeGroup(2)
@@ -136,6 +146,55 @@ def test_ball_shortlex_order():
     assert lengths == sorted(lengths)
     assert ball[0] == F2.identity
     assert ball[1:5] == ((1,), (-1,), (2,), (-2,))
+
+
+def test_sort_key_gives_the_letter_pair_shortlex_order():
+    # the key with one (|letter|, inverse?) pair per letter, replaced by one int
+    def pair_key(g):
+        return (len(g), tuple((abs(c), 0 if c > 0 else 1) for c in g))
+
+    F3 = FreeGroup(3)
+    ball = F3.ball(4)
+    shuffled = random.Random(4).sample(ball, len(ball))
+    assert sorted(shuffled, key=F3.sort_key) == sorted(shuffled, key=pair_key) == list(ball)
+
+
+Z2 = Zd(2)
+SQUARE = CellularAutomaton(Z2, BINARY, BINARY, Z2.box((2, 2)), (0,) * 16)
+Z_RULE = wolfram_rule(110)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Z2.mul((0, 0), (1,)),
+        lambda: F2.mul((1,), (2, -2)),
+        lambda: F2.inverse((1, -1)),
+        lambda: Z2.translate((1, 0), [(0, 0), (0, 0, 0)]),
+        lambda: Z2.translate((1,), [(0, 0)]),
+        lambda: Z2.set_product([(0, 0)], [(1, 1), [0, 1]]),
+        lambda: F2.set_product([(1, 1)], [(3,)]),
+        lambda: Z2.folner_defect([(0, 0), (1,)], (1, 0)),
+        lambda: Z2.folner_defect([(0, 0)], (1, 0, 0)),
+        lambda: translate_pattern(Z2, (1, 0), Pattern(((0, 0), (1,)), (1, 0))),
+        lambda: translate_pattern(Z2, (1,), Pattern(((0, 0),), (1,))),
+        lambda: apply_to_pattern(SQUARE, Pattern(((0, 0), (0, 1, 0)), (1, 0))),
+        lambda: apply_to_finite_config(Z_RULE, FiniteConfig(0, Pattern(((0,), (1, 1)), (1, 1)))),
+        lambda: locally_admissible_count(hard_ball(2), ((0, 0), (0, 1, 0))),
+        lambda: locally_admissible_count(SFTPresentation(Z2, BINARY, ()), ((0, 0), (1,))),
+        lambda: image_pattern_set(SQUARE, ((0, 0), (1,))),
+    ],
+    ids=[
+        "zd-mul", "free-mul", "free-inverse", "translate-set", "translate-by",
+        "zd-set-product", "free-set-product", "defect-set", "defect-by",
+        "translate-pattern-support", "translate-pattern-by", "apply-to-pattern",
+        "apply-to-finite-config", "window-count", "window-count-no-forbidden",
+        "image-pattern-set",
+    ],
+)
+def test_a_malformed_element_is_refused_at_each_public_entry_point(call):
+    with pytest.raises(GroupMismatchError):
+        call()
 
 
 def test_interval_defect_is_one_over_n():

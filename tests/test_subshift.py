@@ -9,7 +9,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import eager_sofic_compare, subset_irreducible, wielandt_mixing_gap
+from conftest import (
+    eager_sofic_compare,
+    reference_placements,
+    reference_transfer_count,
+    subset_irreducible,
+    wielandt_mixing_gap,
+)
 from goelab import subshift
 from goelab.errors import BudgetExceededError
 from goelab.groups import FreeGroup, Zd
@@ -619,6 +625,32 @@ def test_pinned_window_count_digest():
     rows = [repr(locally_admissible_count(X, window)) for X, window in count_battery()]
     assert len(rows) == 986
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PINNED_COUNT_DIGEST
+
+
+def test_placements_and_transfer_match_the_checked_references():
+    # seeded random Z^2 SFTs, 1-3 forbidden patterns, on boxes up to 5 x 5;
+    # the cap keeps the ternary transfers small, and both sides refuse alike
+    z2 = Zd(2)
+    rng = random.Random(21)
+    counted = refused = 0
+    for i in range(120):
+        a = 2 if i % 3 else 3
+        X = random_sft(rng, z2, a, 1 + i % 3)
+        window = z2.box((rng.randint(1, 5), rng.randint(1, 5)))
+        for p in X.forbidden:
+            got = subshift._placements(z2, window, p.support)
+            assert got == reference_placements(z2, window, p.support)
+        try:
+            want = reference_transfer_count(X, window, 1 << 12)
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError) as info:
+                subshift._transfer_count(X, window, 1 << 12)
+            assert info.value.requested == exc.requested
+            refused += 1
+            continue
+        assert subshift._transfer_count(X, window, 1 << 12) == want
+        counted += 1
+    assert counted > 100 and refused > 0
 
 
 def test_parity_structure_is_read_from_the_forbidden_patterns():
