@@ -13,10 +13,12 @@ enumeration downstream deterministic.
 
 Elements are validated at the boundary: in constructors (a memory set, a
 forbidden pattern, a group-ring element), in the JSON readers, and in the
-public group methods (``mul``, ``inverse``, ``translate``, ``set_product``,
-``folner_defect``), each of which checks every argument once.  ``_mul`` is
-the bare arithmetic, for elements already checked; the kernels check their
-inputs once at entry and call it in their inner loops.
+public group methods (``mul``, ``inverse``, ``translate``,
+``folner_defect``), each of which checks every argument once.
+``set_product`` checks its arguments and takes each product with the
+checked ``mul``.  ``_mul`` is the bare arithmetic, for elements already
+checked; the kernels check their inputs once at entry and call it in their
+inner loops.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class Group:
     def set_product(self, A: Iterable[Element], B: Iterable[Element]) -> FiniteSubset:
         A = [self.check(a) for a in A]
         B = [self.check(b) for b in B]
-        return self.canon(self._mul(a, b) for a in A for b in B)
+        return self.canon(self.mul(a, b) for a in A for b in B)
 
     def set_inverse(self, A: Iterable[Element]) -> FiniteSubset:
         return self.canon(self.inverse(a) for a in A)

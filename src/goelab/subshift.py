@@ -697,8 +697,7 @@ def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int
 
     Every check due at a step reads the cell that step adds, so for each
     value v of that cell only the checks that want v there can match; the
-    others are not tried, and a value no check wants folds the states
-    without testing them."""
+    others are not tried."""
     a = len(sft.alphabet)
     banned = {p.values[0] for p in sft.forbidden if len(p.support) == 1}
     allowed = [v for v in range(a) if v not in banned]
@@ -730,12 +729,7 @@ def _transfer_count(sft: SFTPresentation, window: FiniteSubset, cap: int) -> int
         nxt: Dict[int, int] = {}
         for v in allowed:
             new = v << at
-            wanted = checks.get(v)
-            if wanted is None:
-                for state, c in counts.items():
-                    state = (state | new) & keep
-                    nxt[state] = nxt.get(state, 0) + c
-                continue
+            wanted = checks.get(v, ())
             for state, c in counts.items():
                 state |= new
                 for mask, want in wanted:
