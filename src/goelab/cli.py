@@ -127,6 +127,8 @@ def cmd_analyze(args) -> int:
             f"injective={injective.answer}"
         )
     else:
+        if args.domain is not None or args.codomain is not None:
+            raise ValueError("--domain and --codomain apply to rules over Z only")
         verdict = gs.semi_decide(ca, _search_budget(args))
         payload = verdict.to_json()
         if verdict.witness is not None:
@@ -197,6 +199,8 @@ def cmd_me(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    if args.format == "csv" and args.method == "perron":
+        raise ValueError("--format csv prints window counts; use --method count or both")
     X, digest = _load_subshift(args.subshift)
     if X is None:
         raise ValueError("--subshift is required")

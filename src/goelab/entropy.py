@@ -46,11 +46,10 @@ class EntropyEstimate:
     """Window-count series: rows (n, count, cells, estimate in nats)."""
 
     rows: Tuple[Tuple[int, int, int, float], ...]
-    method: str  # "count" | "perron"
 
     def to_json(self) -> dict:
         return {
-            "method": self.method,
+            "method": "count",
             "rows": [
                 {
                     "n": n,
@@ -98,7 +97,7 @@ def pattern_count_entropy(X, ns: Sequence[int]) -> EntropyEstimate:
         window = group.box((n + 1,) * group.d)
         count = _count_on(X, window)
         rows.append((n, count, len(window), math.log(count) / len(window)))
-    return EntropyEstimate(tuple(rows), "count")
+    return EntropyEstimate(tuple(rows))
 
 
 # -- Perron value for 1D ------------------------------------------------------

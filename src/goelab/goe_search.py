@@ -13,19 +13,20 @@ least-index pattern missing from its image set (GOE) or the least-index
 distinct ME pair, one kernel per window: inner loops add integer place
 values and read the rule table.  Image sets are built a cell column at a
 time; ME classes are refined by output cell and extension, exiting early
-once every class is a singleton.  Windows are counted by three conventions:
+once every class is a singleton.  The three searches share one walk,
+``_dovetail``, which counts the windows it saw up to the witness and
+tallies its refusals: ``goe`` (image set over budget), ``gate`` (more than
+``max_patterns_for_pairs`` patterns) and ``me`` (ME extensions over budget).
+Each search reads its counts from that tally:
 
-- ``find_goe_pattern``: a window whose image set is over budget is skipped,
-  every other window is scanned.
-- ``find_me_pair``: a window with more than ``max_patterns_for_pairs``
-  patterns is skipped; every other window is scanned, and one that then
-  turns out over the ME extension budget is also counted as skipped.
-- ``semi_decide``: every scheduled window up to the witness is scanned,
-  whatever its budgets allowed.
+- ``find_goe_pattern``: scanned = seen - goe, skipped = goe.
+- ``find_me_pair``: scanned = seen - gate, skipped = gate + me.
+- ``semi_decide``: scanned = seen.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -127,26 +128,38 @@ def _goe_on(
     return None if missing is None else Pattern(window, missing)
 
 
+def _dovetail(ca: CellularAutomaton, budget: SearchBudget, probes: tuple, error: str):
+    """Walk ``window_schedule``, trying the named probes ("goe", "me") on each
+    window in that order, the ME probe only within the pattern gate, up to the
+    first witness.  Returns (probe, witness, windows seen, refusals)."""
+    group = ca.group
+    if not isinstance(group, Zd):
+        raise GroupMismatchError(error)
+    a = len(ca.input_alphabet)
+    refused = collections.Counter()
+    for seen, window in enumerate(window_schedule(group.d, budget), 1):
+        for probe in probes:
+            if probe == "me" and a ** len(window) > budget.max_patterns_for_pairs:
+                refused["gate"] += 1
+                continue
+            try:
+                found = (_goe_on if probe == "goe" else _me_on)(ca, window, budget)
+            except BudgetExceededError:
+                refused[probe] += 1
+                continue
+            if found is not None:
+                return probe, found, seen, refused
+    return None, None, seen, refused
+
+
 def find_goe_pattern(
     ca: CellularAutomaton, budget: SearchBudget = SearchBudget()
 ) -> SearchOutcome:
     """Smallest-window Garden of Eden pattern within budget, least pattern
     index first; None means no GOE pattern on any scheduled window (which for
     d >= 2 is *not* a surjectivity proof)."""
-    group = ca.group
-    if not isinstance(group, Zd):
-        raise GroupMismatchError("finite-window search needs Z^d")
-    scanned = skipped = 0
-    for window in window_schedule(group.d, budget):
-        try:
-            found = _goe_on(ca, window, budget)
-        except BudgetExceededError:
-            skipped += 1
-            continue
-        scanned += 1
-        if found is not None:
-            return SearchOutcome(found, scanned, budget, skipped)
-    return SearchOutcome(None, scanned, budget, skipped)
+    _, found, seen, refused = _dovetail(ca, budget, ("goe",), "finite-window search needs Z^d")
+    return SearchOutcome(found, seen - refused["goe"], budget, refused["goe"])
 
 
 # -- mutually erasable patterns -------------------------------------------------
@@ -223,24 +236,8 @@ def find_me_pair(
 ) -> SearchOutcome:
     """Distinct ME pair on the smallest scheduled window containing one,
     least index pair first."""
-    group = ca.group
-    if not isinstance(group, Zd):
-        raise GroupMismatchError("finite-window search needs Z^d")
-    a = len(ca.input_alphabet)
-    scanned = skipped = 0
-    for window in window_schedule(group.d, budget):
-        if a ** len(window) > budget.max_patterns_for_pairs:
-            skipped += 1
-            continue
-        scanned += 1
-        try:
-            found = _me_on(ca, window, budget)
-        except BudgetExceededError:
-            skipped += 1
-            continue
-        if found is not None:
-            return SearchOutcome(found, scanned, budget, skipped)
-    return SearchOutcome(None, scanned, budget, skipped)
+    _, found, seen, refused = _dovetail(ca, budget, ("me",), "finite-window search needs Z^d")
+    return SearchOutcome(found, seen - refused["gate"], budget, refused["gate"] + refused["me"])
 
 
 # -- the counting bound -----------------------------------------------------------
@@ -312,27 +309,12 @@ def semi_decide(
     """Dovetail the GOE and ME searches window by window; either witness is
     conclusive for both negatives, and budget exhaustion is an explicit
     unknown."""
-    group = ca.group
-    if not isinstance(group, Zd):
-        raise GroupMismatchError("semi_decide needs Z^d")
-    a = len(ca.input_alphabet)
-    for scanned, window in enumerate(window_schedule(group.d, budget), 1):
-        try:
-            goe = _goe_on(ca, window, budget)
-        except BudgetExceededError:
-            goe = None
-        if goe is not None:
-            return SemiVerdict("not_surjective", goe, scanned, budget)
-        if a ** len(window) > budget.max_patterns_for_pairs:
-            continue
-        try:
-            pair = _me_on(ca, window, budget)
-        except BudgetExceededError:
-            continue
-        if pair is not None:
-            return SemiVerdict("not_preinjective", pair, scanned, budget)
-    note = "exact decision available over Z via decide1d" if group.d == 1 else ""
-    return _unknown(scanned, budget, note)
+    probe, found, seen, _ = _dovetail(ca, budget, ("goe", "me"), "semi_decide needs Z^d")
+    if probe is not None:
+        status = "not_surjective" if probe == "goe" else "not_preinjective"
+        return SemiVerdict(status, found, seen, budget)
+    note = "exact decision available over Z via decide1d" if ca.group.d == 1 else ""
+    return _unknown(seen, budget, note)
 
 
 # -- tilings ------------------------------------------------------------------------

@@ -290,11 +290,9 @@ def _rule_102_trio() -> bool:
     s = d1.decide_surjective(ca)
     p = d1.decide_preinjective(ca)
     i = d1.decide_injective(ca)
-    counts_ok = all(
-        d1.count_preimages(ca, "".join(w)) == 2
-        for L in range(1, 7)
-        for w in itertools.product("01", repeat=L)
-    )
+    # every word of length 1-6 has exactly two preimages
+    hists = {L: d1.preimage_histogram(ca, L) for L in range(1, 7)}
+    counts_ok = all(len(h) == 2**L and set(h.values()) == {2} for L, h in hists.items())
     return s.answer and p.answer and not i.answer and counts_ok
 
 

@@ -1,21 +1,31 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import goelab.entropy as en
+import goelab.goe_search as gs
 import goelab.suite as suite_mod
 from goelab.cli import build_parser, main
 from goelab.goe_search import SearchBudget
+from goelab.jsonio import rule_to_json
+from test_goe_search import Z2_SHAPES, z2_rule
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unreachable(*args):
+    raise AssertionError("an input error is reported before any work")
 
 
 def write_rule(tmp_path, capsys, number):
@@ -126,6 +136,17 @@ def test_entropy_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,count,cells,nats,bits"
     assert len(lines) == 4
+
+
+def test_entropy_csv_with_only_the_perron_method_is_an_input_error(capsys, monkeypatch):
+    # csv rows are window counts, so the Perron value would be lost
+    monkeypatch.setattr(en, "perron_entropy", unreachable)
+    code, out, err = run_cli(
+        capsys,
+        ["entropy", "--subshift", "golden_mean", "--method", "perron", "--format", "csv"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --format csv prints window counts; use --method count or both\n"
 
 
 def test_entropy_subshift_naming_a_cell_twice_is_an_input_error(tmp_path, capsys):
@@ -342,6 +363,64 @@ def test_analyze_z2_rule_reports_window_search(tmp_path, capsys):
     assert report["verdicts"]["window_search"]["status"] == "unknown"
     assert report["provenance"] == "unknown"
     assert code == 2
+
+
+def write_z2_rule(tmp_path, cells, kind):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(rule_to_json(z2_rule(random.Random(0), cells, kind))))
+    return path
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--domain", "golden_mean"], ["--codomain", "not_a_builtin"],
+     ["--domain", "golden_mean", "--codomain", "not_a_builtin"]],
+)
+def test_analyze_refuses_subshifts_for_a_z2_rule(tmp_path, capsys, monkeypatch, options):
+    # the window search runs on the full shift; a subshift must not be dropped silently
+    monkeypatch.setattr(gs, "semi_decide", unreachable)
+    path = write_z2_rule(tmp_path, 3, "permutive")
+    code, out, err = run_cli(capsys, ["analyze", "--rule", str(path)] + options)
+    assert (code, out) == (1, "")
+    assert err == "error: --domain and --codomain apply to rules over Z only\n"
+
+
+# Whole reports of the three search verbs on one Z^2 rule per memory set of
+# Z2_SHAPES (permutive, biased, random tables), at the default budget and at
+# a small one: (exit code, stderr, sha256 of stdout).
+SEARCH_VERBS = {"goe": ["goe", "search"], "me": ["me", "search"], "analyze": ["analyze"]}
+SEARCH_BUDGETS = {"default": [], "small": ["--max-cells", "6", "--max-candidates", "4096"]}
+PINNED_SEARCH_REPORTS = {
+    ("goe", 3, "default"): (2, "no GOE pattern within budget (unknown)\n", "9bad40c1f127658d60b4520b09e17a186e552059861fe4092791e9b81a63edf9"),
+    ("goe", 3, "small"): (2, "no GOE pattern within budget (unknown)\n", "ca6d32086e760b8e5edf6bb5aa8c5b0d35a114725fb1ee08eb541baea80227ab"),
+    ("goe", 4, "default"): (0, "GOE pattern on 2 cells\n", "d3828eaf96c9605e3c54cd24ff52ade837cb369f635f32eca3dd958c1ca05e57"),
+    ("goe", 4, "small"): (0, "GOE pattern on 2 cells\n", "d3828eaf96c9605e3c54cd24ff52ade837cb369f635f32eca3dd958c1ca05e57"),
+    ("goe", 5, "default"): (2, "no GOE pattern within budget (unknown)\n", "606522c2c4a1bea02fc668037972af30b3e261ac1266463b5a98ce469a4e37a0"),
+    ("goe", 5, "small"): (2, "no GOE pattern within budget (unknown)\n", "29fc4b14d015a5a39b7c72853ab319ba1d4e4d6eb6ad2340cbc4e72e4d1bfc14"),
+    ("me", 3, "default"): (2, "no mutually erasable pair within budget (unknown)\n", "db3a7f923fe8fa6ffb723aa029e38f8bf6e083657729d6479d637c63adb7ada0"),
+    ("me", 3, "small"): (2, "no mutually erasable pair within budget (unknown)\n", "db3a7f923fe8fa6ffb723aa029e38f8bf6e083657729d6479d637c63adb7ada0"),
+    ("me", 4, "default"): (0, "mutually erasable pair found\n", "544cdc3d993b6f22a87a2f85814f432074d98f186eedf70260475901019fc926"),
+    ("me", 4, "small"): (2, "no mutually erasable pair within budget (unknown)\n", "c23a8e77756bf119cb2ecaa51f14f0976242008ab2257c0e7b6fcee2e2f809df"),
+    ("me", 5, "default"): (2, "no mutually erasable pair within budget (unknown)\n", "67422afed8c0af3e5e45c19238aaa2666decb1b02c18ee521c5542496b541554"),
+    ("me", 5, "small"): (2, "no mutually erasable pair within budget (unknown)\n", "67422afed8c0af3e5e45c19238aaa2666decb1b02c18ee521c5542496b541554"),
+    ("analyze", 3, "default"): (2, "window search: unknown\n", "968976ded0bd4b9ec98134b7a283667119c1386467cfc4f8ea3fa7ab46920c8f"),
+    ("analyze", 3, "small"): (2, "window search: unknown\n", "241ec998ec9ce267d7aac6c293c5b5955a1089bcd28d53a46c34ede95f22cdf8"),
+    ("analyze", 4, "default"): (0, "window search: not_surjective\n", "56ff26c09788a83d0ec6fbfc2668872a9022cf5047aa542f22637c3f5bd14ca8"),
+    ("analyze", 4, "small"): (0, "window search: not_surjective\n", "272f510a99abda9c881ec6479fcc185704aba785ad4f5a8717ddcb7530052854"),
+    ("analyze", 5, "default"): (2, "window search: unknown\n", "0f6a65a0690e65345573e1db55af4acef8ae4f7cddfd6b0f0ffb492f7cf5faf3"),
+    ("analyze", 5, "small"): (2, "window search: unknown\n", "fd8c5b314916e6eeb0c2f31ed933575bb9ded5992babac09279ad039c6255ddf"),
+}
+
+
+@pytest.mark.parametrize("budget", SEARCH_BUDGETS)
+@pytest.mark.parametrize("cells, kind", zip(Z2_SHAPES, ("permutive", "biased", "random")))
+@pytest.mark.parametrize("verb", SEARCH_VERBS)
+def test_search_verb_reports_are_pinned(tmp_path, capsys, verb, cells, kind, budget):
+    path = write_z2_rule(tmp_path, cells, kind)
+    argv = SEARCH_VERBS[verb] + ["--rule", str(path)] + SEARCH_BUDGETS[budget]
+    code, out, err = run_cli(capsys, argv)
+    got = (code, err, hashlib.sha256(out.encode()).hexdigest())
+    assert got == PINNED_SEARCH_REPORTS[verb, cells, budget]
 
 
 def test_free_group_rule_file_round_trip():
