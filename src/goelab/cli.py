@@ -199,8 +199,8 @@ def cmd_me(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    if args.format == "csv" and args.method == "perron":
-        raise ValueError("--format csv prints window counts; use --method count or both")
+    if args.format == "csv" and args.method != "count":
+        raise ValueError("--format csv prints window counts only; use --method count")
     X, digest = _load_subshift(args.subshift)
     if X is None:
         raise ValueError("--subshift is required")
@@ -214,9 +214,8 @@ def cmd_entropy(args) -> int:
         value = en.perron_entropy(X)
         report["perron"] = {"nats": value, "bits": value / math.log(2)}
     if args.format == "csv":
-        rows = report.get("count", {}).get("rows", [])
         lines = ["n,count,cells,nats,bits"]
-        for row in rows:
+        for row in report["count"]["rows"]:
             lines.append(
                 f"{row['n']},{row['count']},{row['cells']},{row['nats']},{row['bits']}"
             )

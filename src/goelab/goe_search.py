@@ -10,14 +10,17 @@ canonical, so results are reproducible and independent of how work is split.
 
 Each search walks ``window_schedule`` and probes each window for the
 least-index pattern missing from its image set (GOE) or the least-index
-distinct ME pair, one kernel per window: inner loops add integer place
-values and read the rule table.  Image sets are built a cell column at a
-time; ME classes are refined by output cell and extension, exiting early
-once every class is a singleton.  The three searches share one walk,
-``_dovetail``, which counts the windows it saw up to the witness and
-tallies its refusals: ``goe`` (image set over budget), ``gate`` (more than
-``max_patterns_for_pairs`` patterns) and ``me`` (ME extensions over budget).
-Each search reads its counts from that tally:
+distinct ME pair, one kernel per window.  Image sets are bit-parallel: a
+set of inputs is an integer bitset over their indices, each window cell
+gets one such mask per output value, and a depth-first walk over the cells
+intersects them, so the inner loops are big-integer ANDs and ORs.  ME
+classes are refined by output cell and extension, adding integer place
+values and reading the rule table, and exiting early once every class is a
+singleton.  The three searches share one walk, ``_dovetail``, which counts
+the windows it saw up to the witness and tallies its refusals: ``goe``
+(image set over budget), ``gate`` (more than ``max_patterns_for_pairs``
+patterns) and ``me`` (ME extensions over budget).  Each search reads its
+counts from that tally:
 
 - ``find_goe_pattern``: scanned = seen - goe, skipped = goe.
 - ``find_me_pair``: scanned = seen - gate, skipped = gate + me.
@@ -71,13 +74,33 @@ def _reads(group: Zd, cells, S: FiniteSubset) -> list:
     return [[mul(g, s) for s in S] for g in map(group.check, cells)]
 
 
+@functools.lru_cache(maxsize=32)
+def _digit_masks(a: int, n: int) -> tuple:
+    """masks[k][v]: the bitset of the input indices below a^n whose digit k
+    (place a^(n-1-k)) is v.  Digit 0 is a run of place ones in each period of
+    a * place bits, copied a times per round up to a^n bits; digit v is that
+    mask shifted by v * place."""
+    total = a**n
+    masks = []
+    for k in range(n):
+        place = a ** (n - 1 - k)
+        mask, span = (1 << place) - 1, a * place
+        while span < total:
+            mask = sum(mask << j * span for j in range(a))  # the copies are disjoint
+            span *= a
+        masks.append(tuple(mask << v * place for v in range(a)))
+    return tuple(masks)
+
+
 def image_pattern_set(
     ca: CellularAutomaton, window: FiniteSubset, max_candidates: int = 1 << 16
 ) -> set:
     """Exactly { tau(x)|_window : x } as a set of value tuples; exhaustive
-    over the inputs on window*S, which suffice by locality.  Each cell's
-    output column over the inputs in index order is built up to its first
-    read, then repeated; the image set is the set of rows."""
+    over the inputs on window*S, which suffice by locality.  Sets of inputs
+    are bitsets over their indices: each window cell gets one mask per
+    output value (the inputs whose reads it maps there), and a depth-first
+    walk over the cells ANDs one value mask per cell, dropping a prefix
+    whose mask is empty; the leaves are the image set."""
     group = ca.group
     if not isinstance(group, Zd):
         raise GroupMismatchError("finite-window search needs Z^d")
@@ -89,18 +112,31 @@ def image_pattern_set(
     if total > max_candidates:
         raise BudgetExceededError("image enumeration", total, max_candidates)
     position = {h: k for k, h in enumerate(inputs)}
-    places = [a**k for k in reversed(range(len(ca.memory_set)))]
-    columns = []
-    for cells in reads:
-        place = {position[h]: w for h, w in zip(cells, places)}
-        top = min(place, default=0)
-        column = [0]
-        for k in range(len(inputs) - 1, top - 1, -1):
-            w = place.get(k)
-            column = column * a if w is None else [x + v * w for v in range(a) for x in column]
-        columns.append(list(map(ca.table.__getitem__, column)) * a**top)
-    # an empty window has one (empty) image and no columns
-    return set(zip(*columns)) or {()}
+    digits = _digit_masks(a, len(inputs))
+    everything = (1 << total) - 1
+    value_masks = []
+    for cell_reads in reads:
+        # leaf t holds the inputs whose reads spell t in memory-set order
+        leaves = [everything]
+        for h in cell_reads:
+            leaves = [m & d for m in leaves for d in digits[position[h]]]
+        by_value = [0] * len(ca.output_alphabet)
+        for t, m in enumerate(leaves):
+            by_value[ca.table[t]] |= m
+        value_masks.append(by_value)
+    images = set()
+    stack = [((), everything)]
+    while stack:
+        prefix, mask = stack.pop()
+        if len(prefix) == len(value_masks):
+            images.add(prefix)
+        else:
+            stack.extend(
+                (prefix + (v,), both)
+                for v, m in enumerate(value_masks[len(prefix)])
+                if (both := mask & m)
+            )
+    return images
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,9 +334,9 @@ class SemiVerdict:
         return out
 
 
-# results share their windows, and equal unknown verdicts are one object
+# results share their windows, and equal verdicts are one object
 _box = functools.lru_cache(maxsize=256)(lambda d, dims: Zd(d).box(dims))
-_unknown = functools.lru_cache(maxsize=64)(functools.partial(SemiVerdict, "unknown", None))
+_verdict = functools.lru_cache(maxsize=1024)(SemiVerdict)
 
 
 def semi_decide(
@@ -312,9 +348,9 @@ def semi_decide(
     probe, found, seen, _ = _dovetail(ca, budget, ("goe", "me"), "semi_decide needs Z^d")
     if probe is not None:
         status = "not_surjective" if probe == "goe" else "not_preinjective"
-        return SemiVerdict(status, found, seen, budget)
+        return _verdict(status, found, seen, budget)
     note = "exact decision available over Z via decide1d" if ca.group.d == 1 else ""
-    return _unknown(seen, budget, note)
+    return _verdict("unknown", None, seen, budget, note)
 
 
 # -- tilings ------------------------------------------------------------------------

@@ -84,13 +84,13 @@ class Group:
         g = self.check(g)
         return self.canon(self._mul(g, self.check(a)) for a in A)
 
+    def _length(self, g: Element) -> int:
+        """Word length of an element already checked."""
+        raise NotImplementedError
+
     def sphere_size(self, n: int) -> int:
-        """|B_n| - |B_{n-1}|: number of elements at distance exactly n."""
-        if n < 0:
-            raise ValueError("radius must be >= 0")
-        if n == 0:
-            return 1
-        return len(self.ball(n)) - len(self.ball(n - 1))
+        """Number of elements at distance exactly n, counted in B_n."""
+        return list(map(self._length, self.ball(n))).count(n)
 
     def folner_defect(self, F: Sequence[Element], g: Element) -> Fraction:
         """Exact isoperimetric ratio |F \\ Fg| / |F|."""
@@ -147,6 +147,9 @@ class Zd(Group):
     def inverse(self, g):
         self.check(g)
         return tuple(-a for a in g)
+
+    def _length(self, g):
+        return sum(map(abs, g))
 
     def sort_key(self, g):
         return g
@@ -229,6 +232,8 @@ class FreeGroup(Group):
     def inverse(self, g):
         self.check(g)
         return tuple(-letter for letter in reversed(g))
+
+    _length = staticmethod(len)  # a reduced word's length is its word length
 
     def sort_key(self, g):
         # shortlex with the letters ordered a, a', b, b', ...

@@ -146,7 +146,21 @@ def test_entropy_csv_with_only_the_perron_method_is_an_input_error(capsys, monke
         ["entropy", "--subshift", "golden_mean", "--method", "perron", "--format", "csv"],
     )
     assert (code, out) == (1, "")
-    assert err == "error: --format csv prints window counts; use --method count or both\n"
+    assert err == "error: --format csv prints window counts only; use --method count\n"
+
+
+@pytest.mark.parametrize("method", (["--method", "both"], []))
+def test_entropy_csv_with_the_perron_method_among_others_is_an_input_error(
+    capsys, monkeypatch, method
+):
+    # "both" is the default method; csv would drop its Perron value
+    monkeypatch.setattr(en, "perron_entropy", unreachable)
+    monkeypatch.setattr(en, "pattern_count_entropy", unreachable)
+    code, out, err = run_cli(
+        capsys, ["entropy", "--subshift", "golden_mean", *method, "--n", "2", "--format", "csv"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --format csv prints window counts only; use --method count\n"
 
 
 def test_entropy_subshift_naming_a_cell_twice_is_an_input_error(tmp_path, capsys):

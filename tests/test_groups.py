@@ -120,6 +120,17 @@ def test_zd_ball_is_the_filtered_cube_in_order():
     assert len(Zd(8).ball(3)) == 833
 
 
+def test_sphere_sizes_are_ball_differences():
+    for group in (Zd(1), Zd(2), Zd(3), F2, FreeGroup(3)):
+        sizes = [len(group.ball(n)) for n in range(5)]
+        assert [group.sphere_size(n) for n in range(5)] == [1] + [
+            b - a for a, b in zip(sizes, sizes[1:])
+        ]
+        with pytest.raises(ValueError):
+            group.sphere_size(-1)
+    assert [Zd(2).sphere_size(n) for n in range(1, 5)] == [4, 8, 12, 16]
+
+
 def brute_sphere_words(n):
     return [
         w
